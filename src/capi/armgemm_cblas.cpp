@@ -59,7 +59,7 @@ ag::Context& context() {
   // Tunable: cblas callers never configured the context themselves, so
   // the autotuner owns kernel + blocking selection for their calls.
   thread_local ag::Context ctx = [] {
-    ag::Context c(ag::KernelShape{8, 6}, 1);
+    ag::Context c;
     c.set_tunable(true);
     return c;
   }();

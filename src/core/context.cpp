@@ -41,7 +41,7 @@ Context::ScratchLease Context::acquire_scratch() const {
   return ScratchLease(scratch_pool_, std::move(scratch), node);
 }
 
-Context::Context() : Context(KernelShape{8, 6}, 1) {}
+Context::Context() : Context(default_microkernel().name, 1) {}
 
 Context::Context(const std::string& kernel_name, int threads)
     : kernel_(&microkernel_by_name(kernel_name)),

@@ -39,7 +39,8 @@ struct ScratchPool;
 
 class Context {
  public:
-  /// Serial context with the best available 8x6 kernel and host defaults.
+  /// Serial context with default_microkernel() (the widest ISA's preferred
+  /// shape: 24x8 on AVX-512 hosts, 8x6 elsewhere) and host defaults.
   Context();
 
   /// `kernel_name` as in microkernel_by_name (e.g. "avx2_8x6");

@@ -6,13 +6,9 @@
 #include <cstdint>
 
 #include "common/check.hpp"
+#include "kernels/microkernel.hpp"
 
 namespace ag::detail {
-
-using index_t = std::int64_t;
-
-inline constexpr int kMaxMr = 32;
-inline constexpr int kMaxNr = 32;
 
 /// KernelFn: void(index_t kc, T alpha, const T* a, const T* b, T beta, T* c, index_t ldc).
 ///

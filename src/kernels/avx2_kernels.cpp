@@ -1,9 +1,7 @@
 #include "kernels/avx2_kernels.hpp"
 
-#include "common/knobs.hpp"
-
 #if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
+#include "kernels/simd_microkernel.hpp"
 #endif
 
 namespace ag {
@@ -18,283 +16,34 @@ bool avx2_kernels_available() {
 
 #if defined(__AVX2__) && defined(__FMA__)
 
-namespace {
-
-// Knob bytes -> element offsets, resolved once per kernel invocation.
-inline index_t prea_elems() {
-  return static_cast<index_t>(prefetch_a_bytes()) / static_cast<index_t>(sizeof(double));
-}
-inline index_t preb_elems() {
-  return static_cast<index_t>(prefetch_b_bytes()) / static_cast<index_t>(sizeof(double));
-}
-
-// Pull the C tile's lines toward L1 before the k-loop so the epilogue's
-// loads (beta != 0) or stores hit warm lines. An mr x nr double tile is at
-// most two cache lines per column.
-template <int MR, int NR>
-inline void prefetch_c_tile(const double* c, index_t ldc) {
-  for (int j = 0; j < NR; ++j) {
-    const char* cj = reinterpret_cast<const char*>(c + j * ldc);
-    _mm_prefetch(cj, _MM_HINT_T0);
-    if constexpr (MR * sizeof(double) > 64) _mm_prefetch(cj + 64, _MM_HINT_T0);
-  }
-}
-
-}  // namespace
+using Ymm64 = simd::Vec<double, 256>;
+using Ymm32 = simd::Vec<float, 256>;
 
 void avx2_microkernel_8x6(index_t kc, double alpha, const double* a, const double* b,
                           double beta, double* c, index_t ldc) {
-  // Accumulators: acc[h][j] holds rows 4h..4h+3 of column j. 12 ymm total,
-  // leaving registers for two A vectors and the B broadcast.
-  __m256d acc00 = _mm256_setzero_pd(), acc10 = _mm256_setzero_pd();
-  __m256d acc01 = _mm256_setzero_pd(), acc11 = _mm256_setzero_pd();
-  __m256d acc02 = _mm256_setzero_pd(), acc12 = _mm256_setzero_pd();
-  __m256d acc03 = _mm256_setzero_pd(), acc13 = _mm256_setzero_pd();
-  __m256d acc04 = _mm256_setzero_pd(), acc14 = _mm256_setzero_pd();
-  __m256d acc05 = _mm256_setzero_pd(), acc15 = _mm256_setzero_pd();
-
-  const index_t prea = prea_elems();
-  const index_t preb = preb_elems();
-  prefetch_c_tile<8, 6>(c, ldc);
-
-  for (index_t p = 0; p < kc; ++p) {
-    if (prea) _mm_prefetch(reinterpret_cast<const char*>(a + prea), _MM_HINT_T0);
-    if (preb) _mm_prefetch(reinterpret_cast<const char*>(b + preb), _MM_HINT_T0);
-    const __m256d a0 = _mm256_load_pd(a);
-    const __m256d a1 = _mm256_load_pd(a + 4);
-    __m256d bj;
-    bj = _mm256_broadcast_sd(b + 0);
-    acc00 = _mm256_fmadd_pd(a0, bj, acc00);
-    acc10 = _mm256_fmadd_pd(a1, bj, acc10);
-    bj = _mm256_broadcast_sd(b + 1);
-    acc01 = _mm256_fmadd_pd(a0, bj, acc01);
-    acc11 = _mm256_fmadd_pd(a1, bj, acc11);
-    bj = _mm256_broadcast_sd(b + 2);
-    acc02 = _mm256_fmadd_pd(a0, bj, acc02);
-    acc12 = _mm256_fmadd_pd(a1, bj, acc12);
-    bj = _mm256_broadcast_sd(b + 3);
-    acc03 = _mm256_fmadd_pd(a0, bj, acc03);
-    acc13 = _mm256_fmadd_pd(a1, bj, acc13);
-    bj = _mm256_broadcast_sd(b + 4);
-    acc04 = _mm256_fmadd_pd(a0, bj, acc04);
-    acc14 = _mm256_fmadd_pd(a1, bj, acc14);
-    bj = _mm256_broadcast_sd(b + 5);
-    acc05 = _mm256_fmadd_pd(a0, bj, acc05);
-    acc15 = _mm256_fmadd_pd(a1, bj, acc15);
-    a += 8;
-    b += 6;
-  }
-
-  const __m256d va = _mm256_set1_pd(alpha);
-  if (beta == 0.0) {
-    // Overwrite without reading C: NaN/Inf garbage must not propagate.
-    auto store = [&](double* cj, __m256d lo, __m256d hi) {
-      _mm256_storeu_pd(cj, _mm256_mul_pd(va, lo));
-      _mm256_storeu_pd(cj + 4, _mm256_mul_pd(va, hi));
-    };
-    store(c + 0 * ldc, acc00, acc10);
-    store(c + 1 * ldc, acc01, acc11);
-    store(c + 2 * ldc, acc02, acc12);
-    store(c + 3 * ldc, acc03, acc13);
-    store(c + 4 * ldc, acc04, acc14);
-    store(c + 5 * ldc, acc05, acc15);
-  } else if (beta == 1.0) {
-    auto update = [&](double* cj, __m256d lo, __m256d hi) {
-      _mm256_storeu_pd(cj, _mm256_fmadd_pd(va, lo, _mm256_loadu_pd(cj)));
-      _mm256_storeu_pd(cj + 4, _mm256_fmadd_pd(va, hi, _mm256_loadu_pd(cj + 4)));
-    };
-    update(c + 0 * ldc, acc00, acc10);
-    update(c + 1 * ldc, acc01, acc11);
-    update(c + 2 * ldc, acc02, acc12);
-    update(c + 3 * ldc, acc03, acc13);
-    update(c + 4 * ldc, acc04, acc14);
-    update(c + 5 * ldc, acc05, acc15);
-  } else {
-    const __m256d vb = _mm256_set1_pd(beta);
-    auto scale = [&](double* cj, __m256d lo, __m256d hi) {
-      _mm256_storeu_pd(cj, _mm256_fmadd_pd(vb, _mm256_loadu_pd(cj), _mm256_mul_pd(va, lo)));
-      _mm256_storeu_pd(cj + 4,
-                       _mm256_fmadd_pd(vb, _mm256_loadu_pd(cj + 4), _mm256_mul_pd(va, hi)));
-    };
-    scale(c + 0 * ldc, acc00, acc10);
-    scale(c + 1 * ldc, acc01, acc11);
-    scale(c + 2 * ldc, acc02, acc12);
-    scale(c + 3 * ldc, acc03, acc13);
-    scale(c + 4 * ldc, acc04, acc14);
-    scale(c + 5 * ldc, acc05, acc15);
-  }
+  simd::simd_microkernel<Ymm64, 2, 6>(kc, alpha, a, b, beta, c, ldc);
 }
 
 void avx2_microkernel_8x4(index_t kc, double alpha, const double* a, const double* b,
                           double beta, double* c, index_t ldc) {
-  __m256d acc00 = _mm256_setzero_pd(), acc10 = _mm256_setzero_pd();
-  __m256d acc01 = _mm256_setzero_pd(), acc11 = _mm256_setzero_pd();
-  __m256d acc02 = _mm256_setzero_pd(), acc12 = _mm256_setzero_pd();
-  __m256d acc03 = _mm256_setzero_pd(), acc13 = _mm256_setzero_pd();
-
-  const index_t prea = prea_elems();
-  const index_t preb = preb_elems();
-  prefetch_c_tile<8, 4>(c, ldc);
-
-  for (index_t p = 0; p < kc; ++p) {
-    if (prea) _mm_prefetch(reinterpret_cast<const char*>(a + prea), _MM_HINT_T0);
-    if (preb) _mm_prefetch(reinterpret_cast<const char*>(b + preb), _MM_HINT_T0);
-    const __m256d a0 = _mm256_load_pd(a);
-    const __m256d a1 = _mm256_load_pd(a + 4);
-    __m256d bj;
-    bj = _mm256_broadcast_sd(b + 0);
-    acc00 = _mm256_fmadd_pd(a0, bj, acc00);
-    acc10 = _mm256_fmadd_pd(a1, bj, acc10);
-    bj = _mm256_broadcast_sd(b + 1);
-    acc01 = _mm256_fmadd_pd(a0, bj, acc01);
-    acc11 = _mm256_fmadd_pd(a1, bj, acc11);
-    bj = _mm256_broadcast_sd(b + 2);
-    acc02 = _mm256_fmadd_pd(a0, bj, acc02);
-    acc12 = _mm256_fmadd_pd(a1, bj, acc12);
-    bj = _mm256_broadcast_sd(b + 3);
-    acc03 = _mm256_fmadd_pd(a0, bj, acc03);
-    acc13 = _mm256_fmadd_pd(a1, bj, acc13);
-    a += 8;
-    b += 4;
-  }
-
-  const __m256d va = _mm256_set1_pd(alpha);
-  if (beta == 0.0) {
-    auto store = [&](double* cj, __m256d lo, __m256d hi) {
-      _mm256_storeu_pd(cj, _mm256_mul_pd(va, lo));
-      _mm256_storeu_pd(cj + 4, _mm256_mul_pd(va, hi));
-    };
-    store(c + 0 * ldc, acc00, acc10);
-    store(c + 1 * ldc, acc01, acc11);
-    store(c + 2 * ldc, acc02, acc12);
-    store(c + 3 * ldc, acc03, acc13);
-  } else if (beta == 1.0) {
-    auto update = [&](double* cj, __m256d lo, __m256d hi) {
-      _mm256_storeu_pd(cj, _mm256_fmadd_pd(va, lo, _mm256_loadu_pd(cj)));
-      _mm256_storeu_pd(cj + 4, _mm256_fmadd_pd(va, hi, _mm256_loadu_pd(cj + 4)));
-    };
-    update(c + 0 * ldc, acc00, acc10);
-    update(c + 1 * ldc, acc01, acc11);
-    update(c + 2 * ldc, acc02, acc12);
-    update(c + 3 * ldc, acc03, acc13);
-  } else {
-    const __m256d vb = _mm256_set1_pd(beta);
-    auto scale = [&](double* cj, __m256d lo, __m256d hi) {
-      _mm256_storeu_pd(cj, _mm256_fmadd_pd(vb, _mm256_loadu_pd(cj), _mm256_mul_pd(va, lo)));
-      _mm256_storeu_pd(cj + 4,
-                       _mm256_fmadd_pd(vb, _mm256_loadu_pd(cj + 4), _mm256_mul_pd(va, hi)));
-    };
-    scale(c + 0 * ldc, acc00, acc10);
-    scale(c + 1 * ldc, acc01, acc11);
-    scale(c + 2 * ldc, acc02, acc12);
-    scale(c + 3 * ldc, acc03, acc13);
-  }
+  simd::simd_microkernel<Ymm64, 2, 4>(kc, alpha, a, b, beta, c, ldc);
 }
 
 void avx2_microkernel_4x4(index_t kc, double alpha, const double* a, const double* b,
                           double beta, double* c, index_t ldc) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-
-  const index_t prea = prea_elems();
-  const index_t preb = preb_elems();
-  prefetch_c_tile<4, 4>(c, ldc);
-
-  for (index_t p = 0; p < kc; ++p) {
-    if (prea) _mm_prefetch(reinterpret_cast<const char*>(a + prea), _MM_HINT_T0);
-    if (preb) _mm_prefetch(reinterpret_cast<const char*>(b + preb), _MM_HINT_T0);
-    const __m256d a0 = _mm256_load_pd(a);
-    acc0 = _mm256_fmadd_pd(a0, _mm256_broadcast_sd(b + 0), acc0);
-    acc1 = _mm256_fmadd_pd(a0, _mm256_broadcast_sd(b + 1), acc1);
-    acc2 = _mm256_fmadd_pd(a0, _mm256_broadcast_sd(b + 2), acc2);
-    acc3 = _mm256_fmadd_pd(a0, _mm256_broadcast_sd(b + 3), acc3);
-    a += 4;
-    b += 4;
-  }
-
-  const __m256d va = _mm256_set1_pd(alpha);
-  if (beta == 0.0) {
-    auto store = [&](double* cj, __m256d v) { _mm256_storeu_pd(cj, _mm256_mul_pd(va, v)); };
-    store(c + 0 * ldc, acc0);
-    store(c + 1 * ldc, acc1);
-    store(c + 2 * ldc, acc2);
-    store(c + 3 * ldc, acc3);
-  } else if (beta == 1.0) {
-    auto update = [&](double* cj, __m256d v) {
-      _mm256_storeu_pd(cj, _mm256_fmadd_pd(va, v, _mm256_loadu_pd(cj)));
-    };
-    update(c + 0 * ldc, acc0);
-    update(c + 1 * ldc, acc1);
-    update(c + 2 * ldc, acc2);
-    update(c + 3 * ldc, acc3);
-  } else {
-    const __m256d vb = _mm256_set1_pd(beta);
-    auto scale = [&](double* cj, __m256d v) {
-      _mm256_storeu_pd(cj, _mm256_fmadd_pd(vb, _mm256_loadu_pd(cj), _mm256_mul_pd(va, v)));
-    };
-    scale(c + 0 * ldc, acc0);
-    scale(c + 1 * ldc, acc1);
-    scale(c + 2 * ldc, acc2);
-    scale(c + 3 * ldc, acc3);
-  }
+  simd::simd_microkernel<Ymm64, 1, 4>(kc, alpha, a, b, beta, c, ldc);
 }
 
+// 12x4 uses 12 accumulators like 8x6 but favours taller A panels; included
+// as an extension shape for the native benchmarks.
 void avx2_microkernel_12x4(index_t kc, double alpha, const double* a, const double* b,
                            double beta, double* c, index_t ldc) {
-  // 12x4 uses 12 accumulators like 8x6 but favours taller A panels; included
-  // as an extension shape for the native benchmarks.
-  __m256d acc[3][4];
-  for (auto& row : acc)
-    for (auto& v : row) v = _mm256_setzero_pd();
+  simd::simd_microkernel<Ymm64, 3, 4>(kc, alpha, a, b, beta, c, ldc);
+}
 
-  const index_t prea = prea_elems();
-  const index_t preb = preb_elems();
-  prefetch_c_tile<12, 4>(c, ldc);
-
-  for (index_t p = 0; p < kc; ++p) {
-    if (prea) _mm_prefetch(reinterpret_cast<const char*>(a + prea), _MM_HINT_T0);
-    if (preb) _mm_prefetch(reinterpret_cast<const char*>(b + preb), _MM_HINT_T0);
-    const __m256d a0 = _mm256_load_pd(a);
-    const __m256d a1 = _mm256_load_pd(a + 4);
-    const __m256d a2 = _mm256_load_pd(a + 8);
-    for (int j = 0; j < 4; ++j) {
-      const __m256d bj = _mm256_broadcast_sd(b + j);
-      acc[0][j] = _mm256_fmadd_pd(a0, bj, acc[0][j]);
-      acc[1][j] = _mm256_fmadd_pd(a1, bj, acc[1][j]);
-      acc[2][j] = _mm256_fmadd_pd(a2, bj, acc[2][j]);
-    }
-    a += 12;
-    b += 4;
-  }
-
-  const __m256d va = _mm256_set1_pd(alpha);
-  if (beta == 0.0) {
-    for (int j = 0; j < 4; ++j) {
-      double* cj = c + j * ldc;
-      for (int h = 0; h < 3; ++h)
-        _mm256_storeu_pd(cj + 4 * h, _mm256_mul_pd(va, acc[h][j]));
-    }
-  } else if (beta == 1.0) {
-    for (int j = 0; j < 4; ++j) {
-      double* cj = c + j * ldc;
-      for (int h = 0; h < 3; ++h) {
-        _mm256_storeu_pd(cj + 4 * h,
-                         _mm256_fmadd_pd(va, acc[h][j], _mm256_loadu_pd(cj + 4 * h)));
-      }
-    }
-  } else {
-    const __m256d vb = _mm256_set1_pd(beta);
-    for (int j = 0; j < 4; ++j) {
-      double* cj = c + j * ldc;
-      for (int h = 0; h < 3; ++h) {
-        _mm256_storeu_pd(cj + 4 * h,
-                         _mm256_fmadd_pd(vb, _mm256_loadu_pd(cj + 4 * h),
-                                         _mm256_mul_pd(va, acc[h][j])));
-      }
-    }
-  }
+void avx2_smicrokernel_16x6(index_t kc, float alpha, const float* a, const float* b, float beta,
+                            float* c, index_t ldc) {
+  simd::simd_microkernel<Ymm32, 2, 6>(kc, alpha, a, b, beta, c, ldc);
 }
 
 #endif  // __AVX2__ && __FMA__

@@ -18,5 +18,7 @@ template void generic_microkernel<2, 2>(index_t, double, const double*, const do
                                         double*, index_t);
 template void generic_microkernel<1, 1>(index_t, double, const double*, const double*, double,
                                         double*, index_t);
+template void generic_microkernel<24, 8>(index_t, double, const double*, const double*, double,
+                                         double*, index_t);
 
 }  // namespace ag

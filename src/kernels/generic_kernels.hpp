@@ -36,7 +36,8 @@ void generic_microkernel(index_t kc, double alpha, const double* a, const double
   }
 }
 
-// Explicitly instantiated in generic_kernels.cpp for the paper's shapes.
+// Explicitly instantiated in generic_kernels.cpp for the paper's shapes
+// and the scalar references of the SIMD-only shapes.
 extern template void generic_microkernel<8, 6>(index_t, double, const double*, const double*,
                                                double, double*, index_t);
 extern template void generic_microkernel<8, 4>(index_t, double, const double*, const double*,
@@ -53,5 +54,7 @@ extern template void generic_microkernel<2, 2>(index_t, double, const double*, c
                                                double, double*, index_t);
 extern template void generic_microkernel<1, 1>(index_t, double, const double*, const double*,
                                                double, double*, index_t);
+extern template void generic_microkernel<24, 8>(index_t, double, const double*, const double*,
+                                                double, double*, index_t);
 
 }  // namespace ag

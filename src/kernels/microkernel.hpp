@@ -26,9 +26,10 @@
 // tile is prefetched before the k-loop so its lines arrive by epilogue
 // time.
 //
-// Alignment contract: `a` and `b` point into packing buffers allocated
-// with at least 32-byte (SIMD) alignment; the SIMD kernels use aligned
-// vector loads on A. `c` may have any natural double alignment.
+// Alignment contract: none beyond the element type's. The SIMD kernels
+// use unaligned vector loads and stores for A, B and C; packed slivers
+// start at mr*kc or nr*kc element offsets inside the packing buffers, so
+// no vector alignment is guaranteed there for every shape and kc.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +39,11 @@
 namespace ag {
 
 using index_t = std::int64_t;
+
+/// Largest register tile any kernel may have: the GEBP driver computes
+/// partial edge tiles into a kMaxMr x kMaxNr stack buffer.
+inline constexpr int kMaxMr = 32;
+inline constexpr int kMaxNr = 32;
 
 using MicrokernelFn = void (*)(index_t kc, double alpha, const double* a, const double* b,
                                double beta, double* c, index_t ldc);
@@ -56,16 +62,40 @@ struct KernelShape {
   std::string to_string() const { return std::to_string(mr) + "x" + std::to_string(nr); }
 };
 
-enum class KernelIsa { Scalar, Avx2, Neon };
+enum class KernelIsa { Scalar, Avx2, Neon, Avx512 };
 
 inline const char* to_string(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::Scalar: return "scalar";
     case KernelIsa::Avx2: return "avx2";
     case KernelIsa::Neon: return "neon";
+    case KernelIsa::Avx512: return "avx512";
   }
   return "?";
 }
+
+/// Vector register width of an ISA in bits (a scalar kernel counts as one
+/// double). Kernel selection ranks ISAs by it: wider wins.
+inline int vector_bits(KernelIsa isa) {
+  switch (isa) {
+    case KernelIsa::Scalar: return 64;
+    case KernelIsa::Neon: return 128;
+    case KernelIsa::Avx2: return 256;
+    case KernelIsa::Avx512: return 512;
+  }
+  return 0;
+}
+
+/// Whether this build contains kernels for `isa` and the running CPU can
+/// execute them. AVX-512 kernels are compiled into every x86-64 build and
+/// registered only when CPUID reports AVX-512F and XCR0 shows the OS saves
+/// the opmask and zmm state; AVX2 and NEON follow the build's flags.
+bool isa_available(KernelIsa isa);
+
+/// Registration invariant: throws InvalidArgument unless 0 < mr <= kMaxMr
+/// and 0 < nr <= kMaxNr (a larger kernel would fail only when GEBP first
+/// hits an edge tile).
+void check_kernel_shape(const std::string& name, KernelShape shape);
 
 /// A registered microkernel implementation.
 struct Microkernel {
@@ -79,7 +109,19 @@ struct Microkernel {
 /// hosts). Scalar generic kernels for every paper shape are always present.
 const std::vector<Microkernel>& all_microkernels();
 
-/// Best available kernel for a shape: SIMD if the host supports it,
+/// The kernels the library picks from, in preference order: widest ISA
+/// first, registration order within an ISA, scalar kernels only when no
+/// SIMD kernel is registered. Shapes with gamma (Eq. 8) below the paper's
+/// 8x4 are left out; 4x4, 5x5 and smaller exist for the paper's
+/// comparisons. The front is the library's default kernel; the tuner
+/// proposes the list in this order.
+std::vector<const Microkernel*> preferred_microkernels();
+
+/// preferred_microkernels().front(): the kernel Context() and the CBLAS
+/// context start from (avx512_24x8 on AVX-512 hosts, avx2_8x6 on AVX2).
+const Microkernel& default_microkernel();
+
+/// Best available kernel for a shape: the widest ISA the host runs,
 /// otherwise the generic scalar kernel. Throws if the shape is unknown.
 const Microkernel& best_microkernel(KernelShape shape);
 

@@ -1,80 +1,30 @@
 #include "kernels/sgemm_kernels.hpp"
 
+#include <algorithm>
 #include <vector>
 
-#include "common/check.hpp"
-#include "common/knobs.hpp"
-
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#endif
+#include "kernels/avx2_kernels.hpp"
+#include "kernels/avx512_kernels.hpp"
 
 namespace ag {
 namespace {
 
-#if defined(__AVX2__) && defined(__FMA__)
-// 16x6 float kernel: 12 ymm accumulators (2 rows of 8 floats x 6
-// columns), mirroring the structure of the double-precision 8x6 kernel.
-void avx2_smicrokernel_16x6(index_t kc, float alpha, const float* a, const float* b, float beta,
-                            float* c, index_t ldc) {
-  __m256 acc[2][6];
-  for (auto& row : acc)
-    for (auto& v : row) v = _mm256_setzero_ps();
-
-  const index_t prea =
-      static_cast<index_t>(prefetch_a_bytes()) / static_cast<index_t>(sizeof(float));
-  const index_t preb =
-      static_cast<index_t>(prefetch_b_bytes()) / static_cast<index_t>(sizeof(float));
-  for (int j = 0; j < 6; ++j)
-    _mm_prefetch(reinterpret_cast<const char*>(c + j * ldc), _MM_HINT_T0);
-
-  for (index_t p = 0; p < kc; ++p) {
-    if (prea) _mm_prefetch(reinterpret_cast<const char*>(a + prea), _MM_HINT_T0);
-    if (preb) _mm_prefetch(reinterpret_cast<const char*>(b + preb), _MM_HINT_T0);
-    const __m256 a0 = _mm256_load_ps(a);
-    const __m256 a1 = _mm256_load_ps(a + 8);
-    for (int j = 0; j < 6; ++j) {
-      const __m256 bj = _mm256_broadcast_ss(b + j);
-      acc[0][j] = _mm256_fmadd_ps(a0, bj, acc[0][j]);
-      acc[1][j] = _mm256_fmadd_ps(a1, bj, acc[1][j]);
-    }
-    a += 16;
-    b += 6;
-  }
-
-  const __m256 va = _mm256_set1_ps(alpha);
-  if (beta == 0.0f) {
-    for (int j = 0; j < 6; ++j) {
-      float* cj = c + j * ldc;
-      _mm256_storeu_ps(cj, _mm256_mul_ps(va, acc[0][j]));
-      _mm256_storeu_ps(cj + 8, _mm256_mul_ps(va, acc[1][j]));
-    }
-  } else if (beta == 1.0f) {
-    for (int j = 0; j < 6; ++j) {
-      float* cj = c + j * ldc;
-      _mm256_storeu_ps(cj, _mm256_fmadd_ps(va, acc[0][j], _mm256_loadu_ps(cj)));
-      _mm256_storeu_ps(cj + 8, _mm256_fmadd_ps(va, acc[1][j], _mm256_loadu_ps(cj + 8)));
-    }
-  } else {
-    const __m256 vb = _mm256_set1_ps(beta);
-    for (int j = 0; j < 6; ++j) {
-      float* cj = c + j * ldc;
-      _mm256_storeu_ps(cj,
-                       _mm256_fmadd_ps(vb, _mm256_loadu_ps(cj), _mm256_mul_ps(va, acc[0][j])));
-      _mm256_storeu_ps(
-          cj + 8, _mm256_fmadd_ps(vb, _mm256_loadu_ps(cj + 8), _mm256_mul_ps(va, acc[1][j])));
-    }
-  }
+void add(std::vector<SMicrokernel>& ks, SMicrokernel k) {
+  check_kernel_shape(k.name, {k.mr, k.nr});
+  ks.push_back(std::move(k));
 }
-#endif
 
 std::vector<SMicrokernel> build_registry() {
   std::vector<SMicrokernel> ks;
-  ks.push_back({"sgeneric_16x6", 16, 6, &generic_smicrokernel<16, 6>});
-  ks.push_back({"sgeneric_8x8", 8, 8, &generic_smicrokernel<8, 8>});
-  ks.push_back({"sgeneric_8x6", 8, 6, &generic_smicrokernel<8, 6>});
+  add(ks, {"sgeneric_16x6", 16, 6, &generic_smicrokernel<16, 6>});
+  add(ks, {"sgeneric_8x8", 8, 8, &generic_smicrokernel<8, 8>});
+  add(ks, {"sgeneric_8x6", 8, 6, &generic_smicrokernel<8, 6>});
 #if defined(__AVX2__) && defined(__FMA__)
-  ks.push_back({"savx2_16x6", 16, 6, &avx2_smicrokernel_16x6});
+  add(ks, {"savx2_16x6", 16, 6, &avx2_smicrokernel_16x6, KernelIsa::Avx2});
+#endif
+#if defined(ARMGEMM_AVX512_KERNELS)
+  if (isa_available(KernelIsa::Avx512))
+    add(ks, {"savx512_32x12", 32, 12, &avx512_smicrokernel_32x12, KernelIsa::Avx512});
 #endif
   return ks;
 }
@@ -87,11 +37,11 @@ const std::vector<SMicrokernel>& all_smicrokernels() {
 }
 
 const SMicrokernel& best_smicrokernel() {
-#if defined(__AVX2__) && defined(__FMA__)
-  for (const auto& k : all_smicrokernels())
-    if (k.name == "savx2_16x6") return k;
-#endif
-  return all_smicrokernels().front();
+  const auto& all = all_smicrokernels();
+  return *std::max_element(all.begin(), all.end(),
+                           [](const SMicrokernel& a, const SMicrokernel& b) {
+                             return vector_bits(a.isa) < vector_bits(b.isa);
+                           });
 }
 
 }  // namespace ag

@@ -1,16 +1,17 @@
 // Single-precision register kernels. SGEMM doubles every SIMD width, so
 // the paper's 8x6 double-precision register blocking maps to 16x6 in
-// float (two 256-bit rows per column on AVX2, four 128-bit rows on NEON)
-// with the same 12-accumulator structure and gamma reasoning.
+// float (two 256-bit rows per column on AVX2) with the same
+// 12-accumulator structure and gamma reasoning; on AVX-512 the 32x12
+// kernel keeps 24 zmm accumulators (see kernels/avx512_kernels.hpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-namespace ag {
+#include "kernels/microkernel.hpp"
 
-using index_t = std::int64_t;
+namespace ag {
 
 using SMicrokernelFn = void (*)(index_t kc, float alpha, const float* a, const float* b,
                                 float beta, float* c, index_t ldc);
@@ -20,6 +21,7 @@ struct SMicrokernel {
   int mr = 0;
   int nr = 0;
   SMicrokernelFn fn = nullptr;
+  KernelIsa isa = KernelIsa::Scalar;
 };
 
 /// Generic scalar float kernel, any shape. Same fused-beta contract as the
@@ -49,8 +51,9 @@ void generic_smicrokernel(index_t kc, float alpha, const float* a, const float* 
   }
 }
 
-/// Best available float kernel on this build (AVX2 16x6 on x86 hosts,
-/// generic 16x6 otherwise).
+/// Best available float kernel: the widest ISA the host runs, first
+/// registered among equals (AVX-512 32x12, else AVX2 16x6, else the
+/// generic 16x6).
 const SMicrokernel& best_smicrokernel();
 
 /// All registered float kernels (for tests).

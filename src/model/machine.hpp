@@ -82,4 +82,11 @@ struct MachineConfig {
 /// per dual-core module, 8M/16-way shared L3, 2.4 GHz, 4.8 Gflops/core.
 const MachineConfig& xgene();
 
+/// An x86-64 core with AVX-512: 32 zmm registers of 512 bits (8 doubles),
+/// two 512-bit FMA pipes. The register solve (Eqs. 7-11) only reads regs,
+/// simd_doubles and element_bytes; the caches and clock are those of the
+/// 4-vCPU Sapphire Rapids host the AVX-512 kernels were measured on (the
+/// DTLB keeps the struct default).
+const MachineConfig& avx512_core();
+
 }  // namespace ag::model

@@ -6,7 +6,9 @@
 // is bounded by the register file (Eq. 9), the preload reuse budget
 // (Eq. 10) and the SIMD width (Eq. 11). This module solves that
 // optimization exactly by enumeration and reproduces Figure 5's surface,
-// whose maximum 6.857 is attained at 8x6 (or 6x8) with nrf = 6.
+// whose maximum 6.857 is attained at 8x6 (or 6x8) with nrf = 6. On a
+// 32 x 512-bit register file (model::avx512_core()) the same equations
+// give 24x8 with gamma = 12.
 #pragma once
 
 #include <vector>
@@ -33,8 +35,11 @@ struct RegisterChoice {
 };
 
 struct RegisterBlockingOptions {
-  int max_mr = 16;
-  int max_nr = 16;
+  /// Search bounds: the largest tile a kernel may register (the GEBP edge
+  /// tile). The X-Gene optimum sits far inside them; the AVX-512 one
+  /// (24x8) needs mr > 16.
+  int max_mr = kMaxMr;
+  int max_nr = kMaxNr;
   /// Eq. (11): mr, nr restricted to multiples of the SIMD width.
   bool require_simd_multiple = true;
   /// Prefer mr >= nr among gamma ties so an A sub-sliver fills whole cache

@@ -51,8 +51,9 @@ bool HostFingerprint::compatible(const HostFingerprint& other) const {
 
 HostFingerprint host_fingerprint(double peak_gflops, double mu, double pi) {
   HostFingerprint fp;
-  const Microkernel* best = find_best_microkernel({8, 6});
-  fp.arch = std::string(best ? to_string(best->isa) : "none") + "-" +
+  // The widest registered ISA: a cache tuned on AVX2 kernels is stale
+  // once the AVX-512 kernels register.
+  fp.arch = std::string(to_string(default_microkernel().isa)) + "-" +
             std::to_string(sizeof(void*) * 8) + "bit";
   fp.cores = static_cast<int>(std::thread::hardware_concurrency());
   fp.peak_gflops = peak_gflops;

@@ -12,7 +12,8 @@
 //   }
 //
 // A cache is only trusted when its fingerprint matches the running host:
-// same arch string (best-kernel ISA + pointer width) and same logical
+// same arch string (widest registered kernel ISA + pointer width, so an
+// AVX2-era cache is stale once AVX-512 kernels register) and same logical
 // core count, plus a positive recorded peak as a sanity floor. The
 // calibrated constants ride along for inspection but are not gated on —
 // quick calibration jitters by large factors on shared hosts, and the
@@ -35,7 +36,7 @@
 namespace ag::tune {
 
 struct HostFingerprint {
-  std::string arch;  // "<isa>-<bits>bit" of the best 8x6 kernel
+  std::string arch;  // "<isa>-<bits>bit": the widest registered kernel ISA
   int cores = 0;
   double peak_gflops = 0;
   double mu = 0;  // calibrated s/flop

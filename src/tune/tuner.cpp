@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -106,6 +107,15 @@ struct Tuner {
   bool knobs_applied = false;  // small_mnk / prefetch applied once per process
   bool crossover_probed = false;
   bool prefetch_probed = false;
+  // Every config ever published. Callers keep the bare pointers with no
+  // lifetime protocol, so configs live as long as the process; owning
+  // them here keeps them reachable for leak checkers.
+  std::vector<std::unique_ptr<TunedConfig>> configs;
+
+  TunedConfig* new_config(const TunedConfig& init = {}) {
+    configs.push_back(std::make_unique<TunedConfig>(init));
+    return configs.back().get();
+  }
 
   double budget_spent_ms() const {
     return static_cast<double>(counters().probe_us_spent.load(std::memory_order_relaxed)) /
@@ -255,16 +265,15 @@ struct Candidate {
   BlockSizes bs;
 };
 
-// The analytic model + host-heuristic neighborhood for one f64 key.
-// First the per-shape anchors (host default and the paper's ways-based
-// solver priced on the paper machine), then a coordinate sweep around
-// the anchor of the preferred shape.
+// The analytic model + host-heuristic neighborhood for one f64 key: for
+// each kernel of preferred_microkernels() (widest ISA first), the host
+// default and the paper's ways-based solver priced on the paper machine.
+// cands[0], the default kernel at host-default blocking, is the analytic
+// anchor.
 std::vector<Candidate> propose_f64(int threads_hint) {
   std::vector<Candidate> cands;
-  const KernelShape shapes[] = {{8, 6}, {8, 4}, {12, 4}};
-  for (const KernelShape shape : shapes) {
-    const Microkernel* kern = find_best_microkernel(shape);
-    if (kern == nullptr) continue;
+  for (const Microkernel* kern : preferred_microkernels()) {
+    const KernelShape shape = kern->shape;
     Candidate host;
     host.kernel = kern;
     host.bs = default_block_sizes(shape, threads_hint);
@@ -436,7 +445,7 @@ const TunedConfig* tune_key(Tuner& t, Precision precision, int kind, int decade)
       t.cache.entries.erase(t.cache.entries.begin() + static_cast<std::ptrdiff_t>(i));
       break;
     }
-    auto* cfg = new TunedConfig(e);  // immortal
+    TunedConfig* cfg = t.new_config(e);
     cfg->source = TuneSource::kCached;
     counters().resolutions[static_cast<int>(TuneSource::kCached)].fetch_add(
         1, std::memory_order_relaxed);
@@ -444,7 +453,7 @@ const TunedConfig* tune_key(Tuner& t, Precision precision, int kind, int decade)
   }
 
   // Propose.
-  auto* cfg = new TunedConfig;  // immortal
+  TunedConfig* cfg = t.new_config();
   cfg->precision = precision;
   cfg->kind = kind;
   cfg->decade = decade;

@@ -11,6 +11,8 @@
 #include "blas/reference_gemm.hpp"
 #include "capi/armgemm_cblas.h"
 #include "common/matrix.hpp"
+#include "core/context.hpp"
+#include "core/gemm.hpp"
 
 using ag::index_t;
 using ag::Matrix;
@@ -126,6 +128,28 @@ TEST(CApi, DtrmmAndDsymmRun) {
                       0.0, c_ref.data(), n);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < n; ++i) ASSERT_NEAR(c(i, j), c_ref(i, j), 1e-10);
+}
+
+// With the tuner off, cblas calls run the CBLAS context's starting kernel
+// at host defaults: it must be the registry's default kernel, bit for bit.
+TEST(CApi, UntunedCblasRunsTheDefaultKernel) {
+  const std::string mode = armgemm_get_tune_mode();
+  const int threads = armgemm_get_num_threads();
+  armgemm_set_tune_mode("off");
+  armgemm_set_num_threads(1);
+  const int m = 67, n = 45, k = 700;  // k spans several kc panels
+  auto a = ag::random_matrix(m, k, 31);
+  auto b = ag::random_matrix(k, n, 32);
+  std::vector<double> c_cblas(static_cast<std::size_t>(m * n), 0.25), c_ctx = c_cblas;
+  cblas_dgemm(CblasColMajor, CblasNoTrans, CblasNoTrans, m, n, k, 1.0, a.data(),
+              static_cast<int>(a.ld()), b.data(), static_cast<int>(b.ld()), 1.0,
+              c_cblas.data(), m);
+  ag::Context ctx(ag::default_microkernel().name, 1);
+  ag::dgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, m, n, k, 1.0,
+            a.data(), a.ld(), b.data(), b.ld(), 1.0, c_ctx.data(), m, ctx);
+  armgemm_set_tune_mode(mode.c_str());
+  armgemm_set_num_threads(threads);
+  EXPECT_EQ(c_cblas, c_ctx);
 }
 
 TEST(CApi, ThreadControl) {

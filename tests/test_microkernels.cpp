@@ -1,8 +1,11 @@
 // Register-kernel tests: every registered microkernel (scalar and SIMD)
-// computes C += alpha * A_sliver * B_sliver exactly like a reference
-// rank-kc accumulation, for various kc values, alphas and ldc strides.
+// computes C = beta * C + alpha * A_sliver * B_sliver like a reference
+// rank-kc accumulation over the conformance grid (kc, alpha, beta, ldc),
+// and the registry keeps its invariants: shapes fit the GEBP edge tile,
+// the benchmarked names stay, and selection ranks ISAs widest first.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -11,6 +14,8 @@
 #include "kernels/avx2_kernels.hpp"
 #include "kernels/microkernel.hpp"
 #include "kernels/neon_kernels.hpp"
+#include "kernels/sgemm_kernels.hpp"
+#include "kernel_conformance.hpp"
 
 using ag::AlignedBuffer;
 using ag::index_t;
@@ -59,7 +64,7 @@ class AllKernels : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllKernels, MatchesReferenceVariousKc) {
   const Microkernel& k = ag::microkernel_by_name(GetParam());
-  for (index_t kc : {1, 2, 3, 7, 64, 257}) run_case(k, kc, 1.0, 0);
+  conformance::check_kernel<double>(k.name, k.shape.mr, k.shape.nr, k.fn, 1e-13);
 }
 
 TEST_P(AllKernels, AlphaScaling) {
@@ -93,6 +98,51 @@ TEST(Registry, BestPrefersSimd) {
     GTEST_SKIP() << "no SIMD kernels in this build";
   const Microkernel& k = ag::best_microkernel({8, 6});
   EXPECT_NE(k.isa, ag::KernelIsa::Scalar);
+}
+
+TEST(Registry, RejectsKernelsLargerThanTheEdgeTile) {
+  EXPECT_THROW(ag::check_kernel_shape("s48x8", {48, 8}), ag::InvalidArgument);
+  EXPECT_THROW(ag::check_kernel_shape("t8x33", {8, 33}), ag::InvalidArgument);
+  EXPECT_THROW(ag::check_kernel_shape("empty", {0, 4}), ag::InvalidArgument);
+  EXPECT_NO_THROW(ag::check_kernel_shape("edge", {ag::kMaxMr, ag::kMaxNr}));
+}
+
+// BENCHMARK.json's per-layer list names these kernels.
+TEST(Registry, KeepsTheBenchmarkedAvx2Names) {
+  if (!ag::avx2_kernels_available()) GTEST_SKIP() << "no AVX2 kernels in this build";
+  for (const char* name : {"avx2_8x6", "avx2_8x4", "avx2_4x4", "avx2_12x4"})
+    EXPECT_EQ(ag::microkernel_by_name(name).isa, ag::KernelIsa::Avx2) << name;
+  const auto& fs = ag::all_smicrokernels();
+  EXPECT_TRUE(std::any_of(fs.begin(), fs.end(), [](const ag::SMicrokernel& k) {
+    return k.name == "savx2_16x6" && k.isa == ag::KernelIsa::Avx2;
+  }));
+}
+
+TEST(Registry, BestSmicrokernelRanksByIsa) {
+  int widest = 0;
+  for (const auto& k : ag::all_smicrokernels()) widest = std::max(widest, ag::vector_bits(k.isa));
+  EXPECT_EQ(ag::vector_bits(ag::best_smicrokernel().isa), widest);
+}
+
+TEST(Registry, PreferredKernelsRankWidestIsaFirst) {
+  const auto preferred = ag::preferred_microkernels();
+  ASSERT_FALSE(preferred.empty());
+  EXPECT_EQ(preferred.front(), &ag::default_microkernel());
+  int widest = 0;
+  for (const auto& k : ag::all_microkernels()) widest = std::max(widest, ag::vector_bits(k.isa));
+  EXPECT_EQ(ag::vector_bits(preferred.front()->isa), widest);
+  for (std::size_t i = 1; i < preferred.size(); ++i)
+    EXPECT_GE(ag::vector_bits(preferred[i - 1]->isa), ag::vector_bits(preferred[i]->isa));
+  for (const ag::Microkernel* k : preferred) {
+    EXPECT_EQ(ag::find_best_microkernel(k->shape), k) << k->name;
+    EXPECT_GE(k->shape.gamma(), (KernelShape{8, 4}.gamma())) << k->name;
+  }
+  // On AVX2 hosts the candidates are the pre-AVX-512 ones, in order.
+  if (widest == ag::vector_bits(ag::KernelIsa::Avx2)) {
+    std::vector<std::string> names;
+    for (const ag::Microkernel* k : preferred) names.push_back(k->name);
+    EXPECT_EQ(names, (std::vector<std::string>{"avx2_8x6", "avx2_8x4", "avx2_12x4"}));
+  }
 }
 
 TEST(Registry, UnknownNamesThrow) {

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 
+#include "kernels/microkernel.hpp"
+#include "kernels/sgemm_kernels.hpp"
 #include "model/machine.hpp"
 #include "model/register_blocking.hpp"
 
@@ -113,4 +115,66 @@ TEST(RegisterBudget, SmallShapes) {
   EXPECT_EQ(agm::register_budget(4, 4, agm::xgene()).c_registers, 8);
   EXPECT_EQ(agm::register_budget(8, 4, agm::xgene()).c_registers, 16);
   EXPECT_EQ(agm::register_budget(5, 5, agm::xgene()).c_registers, 13);  // ceil(25/2)
+}
+
+// ---- the same model on a 32 x 512-bit register file (AVX-512) -------------
+
+TEST(SolverAvx512, Picks24x8ForDoubles) {
+  const auto& m = agm::avx512_core();
+  const agm::RegisterChoice best = agm::solve_register_blocking(m);
+  EXPECT_EQ(best.mr, 24);
+  EXPECT_EQ(best.nr, 8);
+  EXPECT_EQ(best.nrf, 0);
+  EXPECT_NEAR(best.gamma, 12.0, 1e-12);
+  // Eq. (9) is tight: (192 + 48 + 16) * 8 = 2048 = 32 * 64.
+  EXPECT_TRUE(agm::register_capacity_ok(24, 8, 0, m.regs, m.element_bytes));
+  // The next SIMD-multiple shapes up do not fit: 16x16 and 32x8.
+  EXPECT_FALSE(agm::register_capacity_ok(16, 16, 4, m.regs, m.element_bytes));
+  EXPECT_FALSE(agm::register_capacity_ok(32, 8, 5, m.regs, m.element_bytes));
+  // The pre-AVX-512 search bounds (mr, nr <= 16) stop at 16x8.
+  agm::RegisterBlockingOptions narrow;
+  narrow.max_mr = 16;
+  narrow.max_nr = 16;
+  EXPECT_LT(agm::solve_register_blocking(m, narrow).gamma, best.gamma);
+}
+
+TEST(SolverAvx512, RegisteredKernelIsTheModelShape) {
+  const agm::RegisterChoice best = agm::solve_register_blocking(agm::avx512_core());
+  const ag::KernelShape shape{best.mr, best.nr};
+  // The scalar reference is always registered; the AVX-512 kernel when
+  // the CPU runs it, and then it is the library's default.
+  EXPECT_EQ(ag::best_microkernel(shape).shape, shape);
+  if (!ag::isa_available(ag::KernelIsa::Avx512)) GTEST_SKIP() << "no usable AVX-512";
+  EXPECT_EQ(ag::best_microkernel(shape).isa, ag::KernelIsa::Avx512);
+  EXPECT_EQ(ag::default_microkernel().shape, shape);
+}
+
+TEST(SolverAvx512, BudgetKeepsThePapers24Accumulators) {
+  // 24 zmm accumulators, as the paper's 8x6 keeps 24 v-registers of C;
+  // 3 A vectors and a B broadcast bring it to 28 of 32.
+  const auto b = agm::register_budget(24, 8, agm::avx512_core());
+  EXPECT_EQ(b.c_registers, 24);
+  EXPECT_EQ(b.ab_registers, 4);
+  EXPECT_EQ(b.total, 28);
+}
+
+// Floats: with Eq. (11) on both mr and nr the model gives 16x16. The
+// registered f32 kernel is the measured neighbour 32x12: it satisfies
+// Eqs. (9)-(10) with a higher gamma, and x86 broadcasts B one element at
+// a time, so Eq. (11) does not bind nr. 16x16 needs 17 loads per 16 FMAs
+// and measured about 25% slower.
+TEST(SolverAvx512, FloatShapeIsAFeasibleNeighbourWithHigherGamma) {
+  agm::MachineConfig m = agm::avx512_core();
+  m.element_bytes = 4;
+  m.simd_doubles = 16;  // lanes per vector
+  const agm::RegisterChoice best = agm::solve_register_blocking(m);
+  EXPECT_EQ(best.mr, 16);
+  EXPECT_EQ(best.nr, 16);
+  EXPECT_TRUE(agm::register_capacity_ok(32, 12, 0, m.regs, m.element_bytes));
+  EXPECT_TRUE(agm::preload_reuse_ok(32, 12, 0, m.regs, m.element_bytes));
+  EXPECT_GT(agm::register_gamma(32, 12), best.gamma);
+  if (ag::isa_available(ag::KernelIsa::Avx512)) {
+    EXPECT_EQ(ag::best_smicrokernel().mr, 32);
+    EXPECT_EQ(ag::best_smicrokernel().nr, 12);
+  }
 }

@@ -1,16 +1,16 @@
-// Single-precision GEMM tests: float kernels against a scalar rank-kc
-// reference, the full sgemm against reference_sgemm over size sweeps,
+// Single-precision GEMM tests: every float kernel over the conformance
+// grid (kernel_conformance.hpp), the full sgemm against reference_sgemm over size sweeps,
 // transposes, alpha/beta, threads, and row-major.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "common/aligned_buffer.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/sgemm.hpp"
 #include "kernels/sgemm_kernels.hpp"
+#include "kernel_conformance.hpp"
 
 using ag::index_t;
 
@@ -24,27 +24,8 @@ std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(SKernels, AllMatchScalarReference) {
-  for (const auto& k : ag::all_smicrokernels()) {
-    const int mr = k.mr, nr = k.nr;
-    const index_t kc = 173;
-    ag::AlignedBuffer<float> a(static_cast<std::size_t>(mr * kc));
-    ag::AlignedBuffer<float> b(static_cast<std::size_t>(nr * kc));
-    ag::Xoshiro256 rng(3);
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<float>(rng.uniform(-1, 1));
-    for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<float>(rng.uniform(-1, 1));
-    std::vector<float> c1(static_cast<std::size_t>(mr * nr), 0.5f), c2 = c1;
-    k.fn(kc, 2.0f, a.data(), b.data(), 1.0f, c1.data(), mr);
-    for (index_t p = 0; p < kc; ++p)
-      for (int j = 0; j < nr; ++j)
-        for (int i = 0; i < mr; ++i)
-          c2[static_cast<std::size_t>(i + j * mr)] +=
-              2.0f * a[static_cast<std::size_t>(p * mr + i)] *
-              b[static_cast<std::size_t>(p * nr + j)];
-    // Note c2 applies alpha per-term; kernel applies it once at the end —
-    // same result up to float rounding.
-    for (std::size_t i = 0; i < c1.size(); ++i)
-      ASSERT_NEAR(c1[i], c2[i], 1e-3f) << k.name << " elem " << i;
-  }
+  for (const auto& k : ag::all_smicrokernels())
+    conformance::check_kernel<float>(k.name, k.mr, k.nr, k.fn, 2e-6);
 }
 
 void check_sgemm(index_t m, index_t n, index_t k, int threads, float alpha = 1.0f,

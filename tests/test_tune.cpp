@@ -11,6 +11,7 @@
 // times real kernels; suites stay fast and TSan-clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <fstream>
@@ -19,8 +20,11 @@
 #include <vector>
 
 #include "common/knobs.hpp"
+#include "core/block_sizes.hpp"
 #include "core/gemm.hpp"
 #include "core/tuning.hpp"
+#include "kernels/microkernel.hpp"
+#include "kernels/sgemm_kernels.hpp"
 #include "obs/telemetry.hpp"
 #include "scoped_knobs.hpp"
 #include "tune/cache_file.hpp"
@@ -200,6 +204,22 @@ TEST(TuneCache, FingerprintMismatchRejected) {
             CacheLoadStatus::kFingerprintMismatch);
 }
 
+TEST(TuneCache, FingerprintNamesTheWidestRegisteredIsa) {
+  const ag::Microkernel& widest = ag::default_microkernel();  // widest ISA first
+  EXPECT_EQ(test_host().arch, std::string(ag::to_string(widest.isa)) + "-" +
+                                  std::to_string(sizeof(void*) * 8) + "bit");
+  // A cache tuned while AVX2 was the widest ISA (it pins avx2_8x6) is a
+  // cold start once wider kernels register.
+  if (widest.isa == ag::KernelIsa::Avx2) GTEST_SKIP() << "AVX2 is this host's widest ISA";
+  TuneCacheData avx2_era = sample_cache();
+  avx2_era.fingerprint.arch = "avx2-64bit";
+  TuneCacheData back;
+  std::uint64_t rejected = 0;
+  EXPECT_EQ(ag::tune::parse_cache_json(ag::tune::render_cache_json(avx2_era), test_host(),
+                                       &back, &rejected),
+            CacheLoadStatus::kFingerprintMismatch);
+}
+
 TEST(TuneCache, InvalidEntriesDroppedAndCounted) {
   TuneCacheData data = sample_cache();
   TunedConfig bad = data.entries[0];
@@ -249,6 +269,82 @@ TEST(Tune, AnalyticModeNeverProbes) {
   EXPECT_EQ(ag::tune::stats().probes_run, probes_before);
   EXPECT_NE(cfg->kernel, nullptr);
   EXPECT_GT(cfg->kc, 0);
+}
+
+TEST(Tune, AnalyticAnchorIsTheDefaultKernelAtHostDefaults) {
+  TunerFixture fx;
+  ag::set_tune_mode(ag::kTuneModeAnalytic);
+  const TunedConfig* cfg = ag::tune::resolve(Precision::kF64, 512, 512, 512, 1);
+  ASSERT_NE(cfg, nullptr);
+  const ag::Microkernel& k = ag::default_microkernel();
+  EXPECT_EQ(cfg->kernel, &k);
+  const ag::BlockSizes bs = ag::default_block_sizes(k.shape, 1);
+  EXPECT_EQ(cfg->kc, bs.kc);
+  EXPECT_EQ(cfg->mc, bs.mc);
+  EXPECT_EQ(cfg->nc, bs.nc);
+}
+
+std::vector<std::string>& probed_kernels() {
+  static std::vector<std::string> names;
+  return names;
+}
+
+double recording_probe(const ag::tune::ProbeRequest& req) {
+  if (req.kernel != nullptr) probed_kernels().push_back(req.kernel->name);
+  return fake_probe(req);
+}
+
+TEST(Tune, ProposesTheRegistryKernelsWidestIsaFirst) {
+  TunerFixture fx;
+  probed_kernels().clear();
+  ag::tune::set_probe_runner(&recording_probe);
+  ASSERT_NE(ag::tune::resolve(Precision::kF64, 512, 512, 512, 1), nullptr);
+  ag::tune::set_probe_runner(&fake_probe);
+  std::vector<std::string> first_seen;
+  for (const std::string& name : probed_kernels())
+    if (std::find(first_seen.begin(), first_seen.end(), name) == first_seen.end())
+      first_seen.push_back(name);
+  std::vector<std::string> want;
+  for (const ag::Microkernel* k : ag::preferred_microkernels()) want.push_back(k->name);
+  EXPECT_EQ(first_seen, want);
+}
+
+// The CPU's own report (CPUID + XCR0, through the compiler runtime)
+// decides whether the AVX-512 kernels must be the ones picked, so a
+// dispatch bug cannot fall back to AVX2 silently.
+bool cpu_reports_avx512f() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
+TEST(Dispatch, ContextsStartFromTheDefaultKernel) {
+  EXPECT_EQ(&ag::Context().kernel(), &ag::default_microkernel());
+  EXPECT_EQ(ag::Context().block_sizes().shape(), ag::default_microkernel().shape);
+  // Callers that name a shape keep it (the paper-figure benches pin 8x6).
+  EXPECT_EQ(ag::Context(ag::KernelShape{8, 6}, 1).kernel().shape, (ag::KernelShape{8, 6}));
+}
+
+TEST(Dispatch, Avx512KernelsArePickedWhenTheCpuHasAvx512) {
+  EXPECT_EQ(ag::isa_available(ag::KernelIsa::Avx512), cpu_reports_avx512f());
+  if (!cpu_reports_avx512f()) GTEST_SKIP() << "CPU reports no usable AVX-512F";
+  EXPECT_EQ(ag::default_microkernel().name, "avx512_24x8");
+  EXPECT_EQ(ag::best_microkernel({24, 8}).name, "avx512_24x8");
+  EXPECT_EQ(ag::Context().kernel().name, "avx512_24x8");
+  EXPECT_EQ(std::string(ag::best_smicrokernel().name), "savx512_32x12");
+
+  TunerFixture fx;
+  ag::set_tune_mode(ag::kTuneModeAnalytic);
+  const TunedConfig* f64 = ag::tune::resolve(Precision::kF64, 512, 512, 512, 1);
+  ASSERT_NE(f64, nullptr);
+  ASSERT_NE(f64->kernel, nullptr);
+  EXPECT_EQ(f64->kernel->name, "avx512_24x8");
+  const TunedConfig* f32 = ag::tune::resolve(Precision::kF32, 512, 512, 512, 1);
+  ASSERT_NE(f32, nullptr);
+  EXPECT_EQ(f32->mr, 32);
+  EXPECT_EQ(f32->nr, 12);
 }
 
 TEST(Tune, ProbedResolutionIsStableAndImmortal) {
