@@ -26,8 +26,9 @@ std::atomic<int> g_threads{1};
 std::atomic<bool> g_stats_enabled{false};
 std::atomic<bool> g_pmu_enabled{false};
 
-/// Process-wide collector shared by every host thread's context; the
-/// per-slot atomics make concurrent recording race-free.
+/// Process-wide collector shared by every host thread's context; those
+/// threads all record into slot 0, whose mutex keeps concurrent recording
+/// race-free and every snapshot whole.
 ag::obs::GemmStats& global_stats() {
   static ag::obs::GemmStats stats;
   return stats;

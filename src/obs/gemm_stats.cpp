@@ -1,17 +1,10 @@
 #include "obs/gemm_stats.hpp"
 
-#include <chrono>
 #include <sstream>
 
 namespace ag::obs {
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void json_field(std::ostream& os, const char* key, double v, bool& first) {
   if (!first) os << ",";
@@ -26,12 +19,6 @@ void json_field(std::ostream& os, const char* key, std::uint64_t v, bool& first)
 }
 
 }  // namespace
-
-void atomic_add(std::atomic<double>& acc, double v) {
-  double cur = acc.load(std::memory_order_relaxed);
-  while (!acc.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
 
 LayerCounters& LayerCounters::operator+=(const LayerCounters& o) {
   gemm_calls += o.gemm_calls;
@@ -95,121 +82,55 @@ std::string LayerCounters::to_json() const {
   return os.str();
 }
 
-namespace {
-
-/// Seqlock write section for one ThreadSlot update. The fence after the
-/// odd bump orders it before the (relaxed) field updates; the release
-/// bump at the end orders the updates before the even version a reader
-/// validates against.
-class SlotWrite {
- public:
-  explicit SlotWrite(std::atomic<std::uint64_t>& version) : version_(version) {
-    version_.fetch_add(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-  }
-  ~SlotWrite() { version_.fetch_add(1, std::memory_order_release); }
-
-  SlotWrite(const SlotWrite&) = delete;
-  SlotWrite& operator=(const SlotWrite&) = delete;
-
- private:
-  std::atomic<std::uint64_t>& version_;
-};
-
-}  // namespace
-
 void ThreadSlot::add_pack_a(std::uint64_t bytes, double seconds) {
-  SlotWrite write(version);
-  pack_a_calls.fetch_add(1, std::memory_order_relaxed);
-  pack_a_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  atomic_add(pack_a_seconds, seconds);
+  std::lock_guard lock(mu_);
+  ++counters_.pack_a_calls;
+  counters_.pack_a_bytes += bytes;
+  counters_.pack_a_seconds += seconds;
 }
 
 void ThreadSlot::add_pack_b(std::uint64_t bytes, double seconds) {
-  SlotWrite write(version);
-  pack_b_calls.fetch_add(1, std::memory_order_relaxed);
-  pack_b_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  atomic_add(pack_b_seconds, seconds);
+  std::lock_guard lock(mu_);
+  ++counters_.pack_b_calls;
+  counters_.pack_b_bytes += bytes;
+  counters_.pack_b_seconds += seconds;
 }
 
 void ThreadSlot::add_gebp(std::uint64_t kernels, std::uint64_t bytes_c, double seconds) {
-  SlotWrite write(version);
-  gebp_calls.fetch_add(1, std::memory_order_relaxed);
-  kernel_calls.fetch_add(kernels, std::memory_order_relaxed);
-  c_bytes.fetch_add(bytes_c, std::memory_order_relaxed);
-  atomic_add(gebp_seconds, seconds);
+  std::lock_guard lock(mu_);
+  ++counters_.gebp_calls;
+  counters_.kernel_calls += kernels;
+  counters_.c_bytes += bytes_c;
+  counters_.gebp_seconds += seconds;
 }
 
 void ThreadSlot::add_small(double seconds, std::uint64_t bytes_c) {
-  SlotWrite write(version);
-  small_calls.fetch_add(1, std::memory_order_relaxed);
-  c_bytes.fetch_add(bytes_c, std::memory_order_relaxed);
-  atomic_add(small_seconds, seconds);
+  std::lock_guard lock(mu_);
+  ++counters_.small_calls;
+  counters_.c_bytes += bytes_c;
+  counters_.small_seconds += seconds;
 }
 
 void ThreadSlot::add_call(double fl, double seconds) {
-  SlotWrite write(version);
-  gemm_calls.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(flops, fl);
-  atomic_add(total_seconds, seconds);
+  std::lock_guard lock(mu_);
+  ++counters_.gemm_calls;
+  counters_.flops += fl;
+  counters_.total_seconds += seconds;
 }
 
 void ThreadSlot::add_barrier_wait(double seconds) {
-  SlotWrite write(version);
-  atomic_add(barrier_seconds, seconds);
+  std::lock_guard lock(mu_);
+  counters_.barrier_seconds += seconds;
 }
 
 LayerCounters ThreadSlot::snapshot() const {
-  // Seqlock read: retry while a writer is mid-update (odd version) or a
-  // write completed between the two version loads. Bounded so a pathological
-  // recording storm (or two host threads sharing the slot, where parity
-  // alone cannot prove quiescence) degrades to per-field atomicity
-  // instead of livelock.
-  constexpr int kMaxRetries = 1024;
-  LayerCounters c;
-  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
-    const std::uint64_t v0 = version.load(std::memory_order_acquire);
-    if (v0 & 1) continue;
-    c.gemm_calls = gemm_calls.load(std::memory_order_relaxed);
-    c.pack_a_calls = pack_a_calls.load(std::memory_order_relaxed);
-    c.pack_b_calls = pack_b_calls.load(std::memory_order_relaxed);
-    c.gebp_calls = gebp_calls.load(std::memory_order_relaxed);
-    c.kernel_calls = kernel_calls.load(std::memory_order_relaxed);
-    c.small_calls = small_calls.load(std::memory_order_relaxed);
-    c.pack_a_bytes = pack_a_bytes.load(std::memory_order_relaxed);
-    c.pack_b_bytes = pack_b_bytes.load(std::memory_order_relaxed);
-    c.c_bytes = c_bytes.load(std::memory_order_relaxed);
-    c.pack_a_seconds = pack_a_seconds.load(std::memory_order_relaxed);
-    c.pack_b_seconds = pack_b_seconds.load(std::memory_order_relaxed);
-    c.gebp_seconds = gebp_seconds.load(std::memory_order_relaxed);
-    c.small_seconds = small_seconds.load(std::memory_order_relaxed);
-    c.barrier_seconds = barrier_seconds.load(std::memory_order_relaxed);
-    c.total_seconds = total_seconds.load(std::memory_order_relaxed);
-    c.flops = flops.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (version.load(std::memory_order_relaxed) == v0) return c;
-  }
-  return c;
+  std::lock_guard lock(mu_);
+  return counters_;
 }
 
 void ThreadSlot::reset() {
-  SlotWrite write(version);
-  gemm_calls.store(0, std::memory_order_relaxed);
-  pack_a_calls.store(0, std::memory_order_relaxed);
-  pack_b_calls.store(0, std::memory_order_relaxed);
-  gebp_calls.store(0, std::memory_order_relaxed);
-  kernel_calls.store(0, std::memory_order_relaxed);
-  small_calls.store(0, std::memory_order_relaxed);
-  pack_a_bytes.store(0, std::memory_order_relaxed);
-  pack_b_bytes.store(0, std::memory_order_relaxed);
-  c_bytes.store(0, std::memory_order_relaxed);
-  pack_a_seconds.store(0, std::memory_order_relaxed);
-  pack_b_seconds.store(0, std::memory_order_relaxed);
-  gebp_seconds.store(0, std::memory_order_relaxed);
-  small_seconds.store(0, std::memory_order_relaxed);
-  barrier_seconds.store(0, std::memory_order_relaxed);
-  total_seconds.store(0, std::memory_order_relaxed);
-  flops.store(0, std::memory_order_relaxed);
+  std::lock_guard lock(mu_);
+  counters_ = LayerCounters{};
 }
 
 GemmStats::GemmStats(int max_threads)
@@ -252,14 +173,6 @@ std::string GemmStats::to_json() const {
   }
   os << "]}";
   return os.str();
-}
-
-ScopedSeconds::ScopedSeconds(std::atomic<double>* acc) : acc_(acc) {
-  if (acc_) t0_ = now_seconds();
-}
-
-ScopedSeconds::~ScopedSeconds() {
-  if (acc_) atomic_add(*acc_, now_seconds() - t0_);
 }
 
 }  // namespace ag::obs

@@ -5,8 +5,9 @@
 // records, per pool thread, how long each blocking layer ran and how many
 // bytes it moved: pack-A / pack-B time and bytes (layers 3/2), GEBP time
 // and register-kernel invocations (layers 4-7), C traffic, and barrier
-// wait. Totals aggregate race-free across threads because every counter
-// is a relaxed atomic in a cache-line-sized per-rank slot.
+// wait. Each pool rank records into its own cache-line-aligned slot,
+// whose counters a per-slot mutex guards, so totals aggregate race-free
+// and a snapshot never tears.
 //
 // Cost model: with no collector attached the hot path pays one pointer
 // test per *block* (not per kernel tile); compiling with
@@ -14,8 +15,8 @@
 // constant nullptr).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -73,38 +74,14 @@ struct LayerCounters {
   std::string to_json() const;
 };
 
-/// Cache-line-sized accumulator for one pool rank. All adds are relaxed
-/// atomics, so slots stay race-free even if two host threads ever share a
-/// rank (e.g. concurrent serial calls through one collector).
-///
-/// Snapshot consistency: every add_* (and reset) brackets its field
-/// updates in a seqlock version — odd while an update is in flight. A
-/// snapshot that observes a version change retries, so it never mixes
-/// fields from before and after one recording (e.g. a call's flops
-/// without its seconds) as long as one thread records into the slot at a
-/// time — the pool's invariant. If two host threads ever share slot 0
-/// concurrently, counts stay exact (atomics) and the snapshot degrades
-/// to per-field atomicity after a bounded number of retries.
+/// Cache-line-aligned accumulator for one pool rank. A per-slot mutex
+/// guards the counters: every add_*, reset and snapshot holds it, so a
+/// snapshot never mixes fields from before and after one recording (e.g.
+/// a call's flops without its seconds). That holds also when several host
+/// threads share a slot (ranks past max_threads, or concurrent calls that
+/// all record into slot 0). Pool ranks record into distinct slots, so on
+/// the driver's paths the lock is uncontended.
 struct alignas(64) ThreadSlot {
-  std::atomic<std::uint64_t> gemm_calls{0};
-  std::atomic<std::uint64_t> pack_a_calls{0};
-  std::atomic<std::uint64_t> pack_b_calls{0};
-  std::atomic<std::uint64_t> gebp_calls{0};
-  std::atomic<std::uint64_t> kernel_calls{0};
-  std::atomic<std::uint64_t> small_calls{0};
-  std::atomic<std::uint64_t> pack_a_bytes{0};
-  std::atomic<std::uint64_t> pack_b_bytes{0};
-  std::atomic<std::uint64_t> c_bytes{0};
-  std::atomic<double> pack_a_seconds{0};
-  std::atomic<double> pack_b_seconds{0};
-  std::atomic<double> gebp_seconds{0};
-  std::atomic<double> small_seconds{0};
-  std::atomic<double> barrier_seconds{0};
-  std::atomic<double> total_seconds{0};
-  std::atomic<double> flops{0};
-  /// Seqlock version: odd while an add_*/reset is updating the fields.
-  std::atomic<std::uint64_t> version{0};
-
   void add_pack_a(std::uint64_t bytes, double seconds);
   void add_pack_b(std::uint64_t bytes, double seconds);
   void add_gebp(std::uint64_t kernels, std::uint64_t bytes_c, double seconds);
@@ -112,9 +89,13 @@ struct alignas(64) ThreadSlot {
   void add_call(double fl, double seconds);
   void add_barrier_wait(double seconds);
 
-  /// Consistent multi-field read (see the seqlock note above).
+  /// Consistent copy of every counter.
   LayerCounters snapshot() const;
   void reset();
+
+ private:
+  mutable std::mutex mu_;
+  LayerCounters counters_;
 };
 static_assert(sizeof(ThreadSlot) <= 192, "keep one slot within three cache lines");
 
@@ -133,7 +114,8 @@ class GemmStats {
 
   int max_threads() const { return static_cast<int>(slots_.size()); }
 
-  /// Zeroes every slot (not synchronized with in-flight recording).
+  /// Zeroes every slot; each slot's reset is atomic against its
+  /// recordings and snapshots.
   void reset();
 
   /// Sum of all per-thread slots.
@@ -160,24 +142,5 @@ class GemmStats {
   Tracer* tracer_ = nullptr;
   PmuCollector* pmu_ = nullptr;
 };
-
-/// Accumulates the elapsed lifetime of the object into an atomic seconds
-/// counter; no-op when constructed with nullptr.
-class ScopedSeconds {
- public:
-  explicit ScopedSeconds(std::atomic<double>* acc);
-  ~ScopedSeconds();
-
-  ScopedSeconds(const ScopedSeconds&) = delete;
-  ScopedSeconds& operator=(const ScopedSeconds&) = delete;
-
- private:
-  std::atomic<double>* acc_;
-  double t0_ = 0;
-};
-
-/// Relaxed add for atomic doubles (CAS loop; fetch_add(double) is C++20
-/// but not yet universally lock-free-lowered).
-void atomic_add(std::atomic<double>& acc, double v);
 
 }  // namespace ag::obs

@@ -342,11 +342,11 @@ TEST(ObsStatsCapi, EnableCollectRoundTrip) {
 
 // A snapshot taken while calls are in flight must never mix the fields
 // of one recording: add_call updates gemm_calls, flops and total_seconds
-// inside one seqlock write section, so every snapshot sees either all of
-// a call's contributions or none. The writer records calls with flops
-// exactly 2.0 and seconds exactly 1.0 per call; any snapshot where
-// flops != 2 * gemm_calls (or seconds != gemm_calls) is a torn read of
-// the kind the plain relaxed-load snapshot allowed.
+// under the slot's lock, and snapshot copies them under the same lock, so
+// every snapshot sees either all of a call's contributions or none. The
+// writer records calls with flops exactly 2.0 and seconds exactly 1.0 per
+// call; any snapshot where flops != 2 * gemm_calls (or seconds !=
+// gemm_calls) is a torn read.
 TEST(GemmStatsSnapshot, NoTornReadsUnderConcurrentRecording) {
   ag::obs::GemmStats stats(1);
   ag::obs::ThreadSlot& slot = stats.slot(0);
@@ -357,8 +357,7 @@ TEST(GemmStatsSnapshot, NoTornReadsUnderConcurrentRecording) {
     // thread is first scheduled, at least one call gets recorded.
     do {
       slot.add_call(2.0, 1.0);
-      // Brief quiescent window between calls (as real traffic has), so
-      // the bounded-retry reader can always find a consistent read.
+      // Brief quiescent window between calls, as real traffic has.
       for (volatile int spin = 0; spin < 64; ++spin) {
       }
     } while (!stop.load(std::memory_order_relaxed));
@@ -380,9 +379,9 @@ TEST(GemmStatsSnapshot, NoTornReadsUnderConcurrentRecording) {
   EXPECT_GT(stats.totals().gemm_calls, 0ull);
 }
 
-// Same property across reset(): a reset is itself a seqlock write, so a
-// concurrent snapshot lands fully before or fully after it — never a mix
-// of zeroed and pre-reset fields.
+// Same property across reset(): a reset takes the slot's lock like any
+// recording, so a concurrent snapshot lands fully before or fully after
+// it — never a mix of zeroed and pre-reset fields.
 TEST(GemmStatsSnapshot, ResetIsAtomicAgainstSnapshots) {
   ag::obs::GemmStats stats(1);
   ag::obs::ThreadSlot& slot = stats.slot(0);
@@ -403,6 +402,37 @@ TEST(GemmStatsSnapshot, ResetIsAtomicAgainstSnapshots) {
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();
+}
+
+// Two host threads recording into one slot at once, as concurrent CBLAS
+// calls do through the process-wide collector's slot 0. Overlapping
+// recordings must not let a snapshot through with one call's flops and
+// the other call's count.
+TEST(GemmStatsSnapshot, NoTornReadsWithTwoWritersOnOneSlot) {
+  ag::obs::GemmStats stats(1);
+  ag::obs::ThreadSlot& slot = stats.slot(0);
+  std::atomic<bool> stop{false};
+
+  auto record = [&] {
+    do {
+      slot.add_call(2.0, 1.0);
+    } while (!stop.load(std::memory_order_relaxed));
+  };
+  std::thread a(record);
+  std::thread b(record);
+
+  for (int i = 0; i < 20000; ++i) {
+    const ag::obs::LayerCounters c = stats.totals();
+    const double calls = static_cast<double>(c.gemm_calls);
+    EXPECT_DOUBLE_EQ(c.flops, 2.0 * calls)
+        << "snapshot tore between flops and gemm_calls at iteration " << i;
+    EXPECT_DOUBLE_EQ(c.total_seconds, calls)
+        << "snapshot tore between total_seconds and gemm_calls at iteration " << i;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  a.join();
+  b.join();
+  EXPECT_GE(stats.totals().gemm_calls, 2ull);
 }
 
 }  // namespace
