@@ -32,13 +32,13 @@ void blocked_dgemm(Layout layout, Trans trans_a, Trans trans_b,
                    const double* b, std::int64_t ldb,
                    double beta, double* c, std::int64_t ldc);
 
-/// Validates dgemm arguments; throws ag::InvalidArgument on violation.
-/// Shared by the reference and the optimized implementation so both reject
-/// exactly the same inputs.
+/// Validates dgemm/sgemm arguments (the pointers are only null-checked);
+/// throws ag::InvalidArgument on violation. Shared by the references and
+/// the optimized implementation so all reject exactly the same inputs.
 void validate_gemm_args(Layout layout, Trans trans_a, Trans trans_b,
                         std::int64_t m, std::int64_t n, std::int64_t k,
-                        const double* a, std::int64_t lda,
-                        const double* b, std::int64_t ldb,
-                        const double* c, std::int64_t ldc);
+                        const void* a, std::int64_t lda,
+                        const void* b, std::int64_t ldb,
+                        const void* c, std::int64_t ldc);
 
 }  // namespace ag

@@ -93,11 +93,8 @@ void cblas_dgemm(CBLAS_ORDER order, CBLAS_TRANSPOSE trans_a, CBLAS_TRANSPOSE tra
 void cblas_sgemm(CBLAS_ORDER order, CBLAS_TRANSPOSE trans_a, CBLAS_TRANSPOSE trans_b, int m,
                  int n, int k, float alpha, const float* a, int lda, const float* b, int ldb,
                  float beta, float* c, int ldc) {
-  ag::SgemmOptions opts;
-  opts.threads = g_threads.load();
-  opts.tunable = true;
   ag::sgemm(to_layout(order), to_trans(trans_a), to_trans(trans_b), m, n, k, alpha, a, lda, b,
-            ldb, beta, c, ldc, opts);
+            ldb, beta, c, ldc, context());
 }
 
 void cblas_dsyrk(CBLAS_ORDER order, CBLAS_UPLO uplo, CBLAS_TRANSPOSE trans, int n, int k,

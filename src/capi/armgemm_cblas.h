@@ -164,9 +164,9 @@ void armgemm_topology_refresh(void);
 
 /* ---- Per-layer instrumentation (process-wide, off by default) ----
  *
- * When enabled, every cblas_dgemm call records per-layer counters into
- * one shared collector: packing time/bytes, GEBP time and kernel
- * invocations, C traffic, barrier wait. Aggregation is race-free across
+ * When enabled, every cblas_dgemm and cblas_sgemm call records per-layer
+ * counters into one shared collector: packing time/bytes, GEBP time and
+ * kernel invocations, C traffic, barrier wait. Aggregation is race-free across
  * both pool threads and host threads. In a library built with
  * -DARMGEMM_STATS=OFF these calls succeed but every counter stays zero.
  */

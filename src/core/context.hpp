@@ -1,10 +1,13 @@
-// Execution context for the optimized DGEMM: kernel choice, block sizes,
+// Execution context for the optimized GEMM: kernel choice, block sizes,
 // thread count, reusable packing scratch, and the (lazily created,
-// persistent) thread pool.
+// persistent) thread pool. dgemm uses all of it; sgemm uses the thread
+// count, pool, scratch, stats collector and tunable flag, and picks its
+// own f32 kernel and blocking (core/sgemm.hpp).
 #pragma once
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
@@ -15,22 +18,35 @@
 
 namespace ag {
 
-/// Packing buffers for one in-flight GEMM: a double-buffered shared B
-/// panel (the parallel driver packs panel pc+1 while computing panel pc)
-/// and one A block per rank. Buffers grow monotonically via ensure(), so
-/// steady-state repeated calls allocate nothing.
-struct GemmScratch {
-  AlignedBuffer<double> packed_b[2];
-  std::vector<AlignedBuffer<double>> packed_a;
+/// Packing buffers of one element type for one in-flight GEMM: a
+/// double-buffered shared B panel (the parallel driver packs panel pc+1
+/// while computing panel pc) and one A block per rank. Buffers grow
+/// monotonically via ensure(), so steady-state repeated calls allocate
+/// nothing.
+template <typename T>
+struct PackBuffers {
+  AlignedBuffer<T> packed_b[2];
+  std::vector<AlignedBuffer<T>> packed_a;
 
-  /// Grows the buffers to hold a `b_elems`-double B panel (x2 when
-  /// `double_buffer`) and `a_elems`-double A blocks for `ranks` ranks.
+  /// Grows the buffers to hold a `b_elems`-element B panel (x2 when
+  /// `double_buffer`) and `a_elems`-element A blocks for `ranks` ranks.
   void reserve(std::size_t b_elems, std::size_t a_elems, int ranks, bool double_buffer) {
     packed_b[0].ensure(b_elems);
     if (double_buffer) packed_b[1].ensure(b_elems);
     if (packed_a.size() < static_cast<std::size_t>(ranks))
       packed_a.resize(static_cast<std::size_t>(ranks));
     for (int r = 0; r < ranks; ++r) packed_a[static_cast<std::size_t>(r)].ensure(a_elems);
+  }
+};
+
+/// The packing scratch of one in-flight dgemm or sgemm call: one
+/// PackBuffers per element type, each grown only by calls of that type.
+struct GemmScratch {
+  std::tuple<PackBuffers<double>, PackBuffers<float>> buffers;
+
+  template <typename T>
+  PackBuffers<T>& of() {
+    return std::get<PackBuffers<T>>(buffers);
   }
 };
 
@@ -126,8 +142,8 @@ class Context {
   /// on one node is never handed to a caller on another.
   ScratchLease acquire_scratch() const;
 
-  /// Pool shared by every dgemm call made with this context; created on
-  /// first parallel use.
+  /// Pool shared by every dgemm and sgemm call made with this context;
+  /// created on first parallel use.
   ThreadPool& pool() const;
 
   /// Process-wide default used by the two-argument dgemm overload.

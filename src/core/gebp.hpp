@@ -26,12 +26,14 @@ void gebp(index_t mc, index_t nc, index_t kc, double alpha, const double* packed
           const double* packed_b, double beta, double* c, index_t ldc,
           const Microkernel& kernel);
 
-/// Instrumented variant: when `slot` is non-null additionally records the
-/// GEBP call, the ceil(mc/mr)*ceil(nc/nr) register-kernel invocations it
-/// dispatches (edge tiles included), the 2*mc*nc*8 bytes of C traffic
-/// (read + write), and the elapsed time.
-void gebp(index_t mc, index_t nc, index_t kc, double alpha, const double* packed_a,
-          const double* packed_b, double beta, double* c, index_t ldc, const Microkernel& kernel,
+/// Instrumented variant, for double and float, running the register
+/// kernel `kernel` of shape mr x nr: when `slot` is non-null additionally
+/// records the GEBP call, the ceil(mc/mr)*ceil(nc/nr) register-kernel
+/// invocations it dispatches (edge tiles included), the 2*mc*nc*sizeof(T)
+/// bytes of C traffic (read + write), and the elapsed time.
+template <typename T>
+void gebp(index_t mc, index_t nc, index_t kc, T alpha, const T* packed_a, const T* packed_b,
+          T beta, T* c, index_t ldc, KernelFn<T> kernel, int mr, int nr,
           obs::ThreadSlot* slot);
 
 }  // namespace ag

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <type_traits>
 #include <vector>
 
 #include "blas/reference_gemm.hpp"
@@ -16,6 +17,7 @@
 #include "core/packing.hpp"
 #include "core/schedule.hpp"
 #include "core/tuning.hpp"
+#include "kernels/sgemm_kernels.hpp"
 #include "obs/gemm_stats.hpp"
 #include "obs/phase.hpp"
 #include "obs/pmu.hpp"
@@ -30,12 +32,13 @@ namespace detail {
 // Only used when no multiply runs at all (k == 0 or alpha == 0): with the
 // beta epilogue fused into the microkernels, the compute paths never make
 // a standalone pass over C.
-void scale_panel(double* c, index_t ldc, index_t m, index_t n, double beta) {
-  if (beta == 1.0) return;
+template <typename T>
+void scale_panel(T* c, index_t ldc, index_t m, index_t n, T beta) {
+  if (beta == T(1)) return;
   for (index_t j = 0; j < n; ++j) {
-    double* col = c + j * ldc;
-    if (beta == 0.0) {
-      std::fill(col, col + m, 0.0);
+    T* col = c + j * ldc;
+    if (beta == T(0)) {
+      std::fill(col, col + m, T(0));
     } else {
       for (index_t i = 0; i < m; ++i) col[i] *= beta;
     }
@@ -47,24 +50,25 @@ void scale_panel(double* c, index_t ldc, index_t m, index_t n, double beta) {
 // before that column's accumulation, while its line is hot (beta == 0
 // overwrites, so NaN/Inf garbage never propagates). Always serial — at
 // these sizes a fork-join costs more than the multiply.
-void gemm_small_nest(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
-                     double alpha, const double* a, index_t lda, const double* b, index_t ldb,
-                     double beta, double* c, index_t ldc) {
+template <typename T>
+void gemm_small_nest(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, T alpha,
+                     const T* a, index_t lda, const T* b, index_t ldb, T beta, T* c,
+                     index_t ldc) {
   const bool ta = trans_a != Trans::NoTrans;
   const bool tb = trans_b != Trans::NoTrans;
   for (index_t j = 0; j < n; ++j) {
-    double* cj = c + j * ldc;
-    if (beta == 0.0) {
-      std::fill(cj, cj + m, 0.0);
-    } else if (beta != 1.0) {
+    T* cj = c + j * ldc;
+    if (beta == T(0)) {
+      std::fill(cj, cj + m, T(0));
+    } else if (beta != T(1)) {
       for (index_t i = 0; i < m; ++i) cj[i] *= beta;
     }
     for (index_t l = 0; l < k; ++l) {
-      const double blj = tb ? b[j + l * ldb] : b[l + j * ldb];
-      if (blj == 0.0) continue;
-      const double scale = alpha * blj;
+      const T blj = tb ? b[j + l * ldb] : b[l + j * ldb];
+      if (blj == T(0)) continue;
+      const T scale = alpha * blj;
       if (!ta) {
-        const double* al = a + l * lda;
+        const T* al = a + l * lda;
         for (index_t i = 0; i < m; ++i) cj[i] += scale * al[i];
       } else {
         for (index_t i = 0; i < m; ++i) cj[i] += scale * a[l + i * lda];
@@ -73,83 +77,27 @@ void gemm_small_nest(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t
   }
 }
 
-// Uninstrumented serial blocked nest for the autotuner's probes. Same
-// loop order and beta fusion as gemm_serial below, minus every stats /
-// tracer / PMU hook — a probe must not perturb the serving counters.
-void gemm_blocked_serial(index_t m, index_t n, index_t k, double alpha, const double* a,
-                         index_t lda, const double* b, index_t ldb, double beta, double* c,
-                         index_t ldc, const Microkernel& kernel, const BlockSizes& bs,
-                         GemmScratch& scratch) {
-  scratch.reserve(static_cast<std::size_t>(
-                      packed_b_size(std::min(bs.kc, k), std::min(bs.nc, n), bs.nr)),
-                  static_cast<std::size_t>(
-                      packed_a_size(std::min(bs.mc, m), std::min(bs.kc, k), bs.mr)),
-                  1, /*double_buffer=*/false);
-  double* const packed_a = scratch.packed_a[0].data();
-  double* const packed_b = scratch.packed_b[0].data();
-  for (index_t jj = 0; jj < n; jj += bs.nc) {
-    const index_t nc = std::min(bs.nc, n - jj);
-    for (index_t kk = 0; kk < k; kk += bs.kc) {
-      const index_t kc = std::min(bs.kc, k - kk);
-      pack_b(Trans::NoTrans, b, ldb, kk, jj, kc, nc, bs.nr, packed_b);
-      for (index_t ii = 0; ii < m; ii += bs.mc) {
-        const index_t mc = std::min(bs.mc, m - ii);
-        pack_a(Trans::NoTrans, a, lda, ii, kk, mc, kc, bs.mr, packed_a);
-        gebp(mc, nc, kc, alpha, packed_a, packed_b, kk == 0 ? beta : 1.0,
-             c + ii + jj * ldc, ldc, kernel);
-      }
-    }
-  }
-}
-
-}  // namespace detail
-
-namespace {
-
-using detail::scale_panel;
-
-// Stats-recording wrapper of the no-pack fast path for small problems
-// (m*n*k <= ARMGEMM_SMALL_MNK^3): packing and the blocked loop nest cost
-// more than they save when the operands fit in cache.
-void gemm_small(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, double alpha,
-                const double* a, index_t lda, const double* b, index_t ldb, double beta,
-                double* c, index_t ldc, const Context& ctx, obs::CallPhases* phases) {
-  obs::GemmStats* stats = ctx.stats();
-  obs::ThreadSlot* slot = stats ? &stats->slot(0) : nullptr;
-  obs::Tracer::Region region(stats ? stats->tracer() : nullptr, 0, "small_gemm");
-  obs::PmuRegion hw(stats ? stats->pmu() : nullptr, 0, obs::PmuLayer::kSmall);
-  // The no-pack nest is all compute: the whole call is kernel time.
-  obs::PhaseScope phase(phases ? phases->slot(obs::Phase::kKernel) : nullptr);
-  Timer t;
-  detail::gemm_small_nest(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-  if (slot) {
-    // One read + one write of C; the operands stream straight from the
-    // caller's buffers, so there is no packed traffic to account.
-    slot->add_small(t.seconds(),
-                    static_cast<std::uint64_t>(2 * m * n) * sizeof(double));
-  }
-}
-
 // Serial column-major driver. beta rides into GEBP with the first k-panel
 // (kk == 0) of each column panel — the jj -> kk -> ii loop order guarantees
 // every C element's first update in its jj panel comes from kk == 0 — and
 // later k-panels accumulate with beta == 1.
-void gemm_serial(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, double alpha,
-                 const double* a, index_t lda, const double* b, index_t ldb, double beta,
-                 double* c, index_t ldc, const Context& ctx, const Microkernel& kernel,
-                 const BlockSizes& bs, GemmScratch& scratch, obs::CallPhases* phases) {
-  obs::GemmStats* stats = ctx.stats();
+template <typename T>
+void gemm_serial(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, T alpha,
+                 const T* a, index_t lda, const T* b, index_t ldb, T beta, T* c, index_t ldc,
+                 KernelFn<T> kernel, const BlockSizes& bs, GemmScratch& scratch,
+                 obs::GemmStats* stats, obs::CallPhases* phases) {
   obs::ThreadSlot* slot = stats ? &stats->slot(0) : nullptr;
   obs::Tracer* tracer = stats ? stats->tracer() : nullptr;
   obs::PmuCollector* pmu = stats ? stats->pmu() : nullptr;
 
-  scratch.reserve(static_cast<std::size_t>(
-                      packed_b_size(std::min(bs.kc, k), std::min(bs.nc, n), bs.nr)),
-                  static_cast<std::size_t>(
-                      packed_a_size(std::min(bs.mc, m), std::min(bs.kc, k), bs.mr)),
-                  1, /*double_buffer=*/false);
-  double* const packed_a = scratch.packed_a[0].data();
-  double* const packed_b = scratch.packed_b[0].data();
+  PackBuffers<T>& buf = scratch.of<T>();
+  buf.reserve(static_cast<std::size_t>(
+                  packed_b_size(std::min(bs.kc, k), std::min(bs.nc, n), bs.nr)),
+              static_cast<std::size_t>(
+                  packed_a_size(std::min(bs.mc, m), std::min(bs.kc, k), bs.mr)),
+              1, /*double_buffer=*/false);
+  T* const packed_a = buf.packed_a[0].data();
+  T* const packed_b = buf.packed_b[0].data();
 
   for (index_t jj = 0; jj < n; jj += bs.nc) {        // layer 1
     const index_t nc = std::min(bs.nc, n - jj);
@@ -175,10 +123,38 @@ void gemm_serial(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, 
         obs::Tracer::Region region(tracer, 0, "gebp", {ic, jc, pc});
         obs::PmuRegion hw(pmu, 0, obs::PmuLayer::kGebp);
         obs::PhaseScope phase(phases ? phases->slot(obs::Phase::kKernel) : nullptr);
-        gebp(mc, nc, kc, alpha, packed_a, packed_b, kk == 0 ? beta : 1.0,
-             c + ii + jj * ldc, ldc, kernel, slot);
+        gebp(mc, nc, kc, alpha, packed_a, packed_b, kk == 0 ? beta : T(1),
+             c + ii + jj * ldc, ldc, kernel, bs.mr, bs.nr, slot);
       }
     }
+  }
+}
+
+}  // namespace detail
+
+namespace {
+
+using detail::scale_panel;
+
+// Stats-recording wrapper of the no-pack fast path for small problems
+// (m*n*k <= ARMGEMM_SMALL_MNK^3): packing and the blocked loop nest cost
+// more than they save when the operands fit in cache.
+template <typename T>
+void gemm_small(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, T alpha,
+                const T* a, index_t lda, const T* b, index_t ldb, T beta, T* c, index_t ldc,
+                const Context& ctx, obs::CallPhases* phases) {
+  obs::GemmStats* stats = ctx.stats();
+  obs::ThreadSlot* slot = stats ? &stats->slot(0) : nullptr;
+  obs::Tracer::Region region(stats ? stats->tracer() : nullptr, 0, "small_gemm");
+  obs::PmuRegion hw(stats ? stats->pmu() : nullptr, 0, obs::PmuLayer::kSmall);
+  // The no-pack nest is all compute: the whole call is kernel time.
+  obs::PhaseScope phase(phases ? phases->slot(obs::Phase::kKernel) : nullptr);
+  Timer t;
+  detail::gemm_small_nest(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+  if (slot) {
+    // One read + one write of C; the operands stream straight from the
+    // caller's buffers, so there is no packed traffic to account.
+    slot->add_small(t.seconds(), static_cast<std::uint64_t>(2 * m * n) * sizeof(T));
   }
 }
 
@@ -210,10 +186,10 @@ void gemm_serial(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, 
 // computes WHAT first changes. `mc_class` (tune::per_class_mc) lets a
 // slow-class rank additionally sub-block its claimed mc rows to its own
 // cache-sized mc, again without touching the grid.
-void gemm_parallel(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
-                   double alpha, const double* a, index_t lda, const double* b, index_t ldb,
-                   double beta, double* c, index_t ldc, const Context& ctx,
-                   const Microkernel& kernel, const BlockSizes& bs,
+template <typename T>
+void gemm_parallel(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, T alpha,
+                   const T* a, index_t lda, const T* b, index_t ldb, T beta, T* c,
+                   index_t ldc, const Context& ctx, KernelFn<T> kernel, const BlockSizes& bs,
                    const std::vector<index_t>& mc_class, GemmScratch& scratch,
                    int nthreads, obs::CallPhases* phases) {
   obs::GemmStats* stats = ctx.stats();
@@ -288,14 +264,14 @@ void gemm_parallel(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k
     }
   }
 
-  scratch.reserve(static_cast<std::size_t>(
-                      packed_b_size(std::min(bs.kc, k), std::min(bs.nc, n), bs.nr)),
-                  static_cast<std::size_t>(
-                      packed_a_size(std::min(bs.mc, m), std::min(bs.kc, k), bs.mr)),
-                  nthreads, /*double_buffer=*/npanels > 1);
-  double* const bbuf[2] = {scratch.packed_b[0].data(),
-                           npanels > 1 ? scratch.packed_b[1].data()
-                                       : scratch.packed_b[0].data()};
+  PackBuffers<T>& buf = scratch.of<T>();
+  buf.reserve(static_cast<std::size_t>(
+                  packed_b_size(std::min(bs.kc, k), std::min(bs.nc, n), bs.nr)),
+              static_cast<std::size_t>(
+                  packed_a_size(std::min(bs.mc, m), std::min(bs.kc, k), bs.mr)),
+              nthreads, /*double_buffer=*/npanels > 1);
+  T* const bbuf[2] = {buf.packed_b[0].data(),
+                      npanels > 1 ? buf.packed_b[1].data() : buf.packed_b[0].data()};
 
   Barrier barrier(nthreads);
 
@@ -311,7 +287,7 @@ void gemm_parallel(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k
             (slot || obs::telemetry_active()) ? &barrier_wait : nullptr;
         obs::CallPhases* const my_ph =
             phases ? &rank_phases[static_cast<std::size_t>(rank)].ph : nullptr;
-        double* const my_packed_a = scratch.packed_a[static_cast<std::size_t>(rank)].data();
+        T* const my_packed_a = buf.packed_a[static_cast<std::size_t>(rank)].data();
         // Sub-blocking granularity for this rank's claimed mc blocks (a
         // LITTLE-class rank re-tiles along m to its own cache-sized mc).
         const index_t my_mc =
@@ -342,7 +318,7 @@ void gemm_parallel(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k
 
           const Panel& panel = panels[static_cast<std::size_t>(p)];
           const PanelSchedule& plan = plans[static_cast<std::size_t>(p)];
-          const double* const panel_b = bbuf[p & 1];
+          const T* const panel_b = bbuf[p & 1];
           std::atomic<index_t>& ticket = tickets[static_cast<std::size_t>(p)];
 
           // Next ticket of panel p for this rank, or -1 when the panel is
@@ -404,8 +380,8 @@ void gemm_parallel(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k
               obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kGebp);
               obs::PhaseScope phase(my_ph ? my_ph->slot(obs::Phase::kKernel) : nullptr);
               gebp(sub_mc, blk.nb, panel.kc, alpha, my_packed_a,
-                   panel_b + blk.sliver0 * panel.kc * bs.nr, panel.pc == 0 ? beta : 1.0,
-                   c + sub_ii + (panel.jj + blk.jb) * ldc, ldc, kernel, slot);
+                   panel_b + blk.sliver0 * panel.kc * bs.nr, panel.pc == 0 ? beta : T(1),
+                   c + sub_ii + (panel.jj + blk.jb) * ldc, ldc, kernel, bs.mr, bs.nr, slot);
             }
           }
           // One barrier per panel: it certifies both "panel p fully
@@ -437,10 +413,11 @@ struct RunInfo {
   BlockSizes bs;  // the blocking the call actually ran with
 };
 
-RunInfo run_gemm(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, double alpha,
-                 const double* a, index_t lda, const double* b, index_t ldb, double beta,
-                 double* c, index_t ldc, const Context& ctx,
-                 obs::CallPhases* phases = nullptr) {
+template <typename T>
+RunInfo run_gemm(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, T alpha,
+                 const T* a, index_t lda, const T* b, index_t ldb, T beta, T* c, index_t ldc,
+                 const Context& ctx, [[maybe_unused]] const BlockPins& pins,
+                 obs::CallPhases* phases) {
   RunInfo info;
   info.bs = ctx.block_sizes();
   if (use_small_gemm(m, n, k)) {
@@ -448,12 +425,22 @@ RunInfo run_gemm(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, 
     info.schedule = obs::ScheduleKind::kSmall;
     return info;
   }
-  // Per-call configuration: the context's kernel + blocking, or — for a
-  // tunable context — whatever the autotuner resolved for this
-  // (precision, shape-class) key.
-  const ExecConfig cfg = resolve_exec_config(ctx, m, n, k);
-  const BlockSizes& bs = cfg.bs;
-  info.bs = bs;
+  // Per-call configuration. f64: the context's kernel + blocking, or —
+  // for a tunable context — whatever the autotuner resolved for this
+  // (precision, shape-class) key. f32: the one f32 kernel family with
+  // the call's pins or its key's blocking.
+  KernelFn<T> kernel;
+  std::vector<index_t> mc_class;
+  if constexpr (std::is_same_v<T, double>) {
+    ExecConfig cfg = resolve_exec_config(ctx, m, n, k);
+    kernel = cfg.kernel->fn;
+    info.bs = cfg.bs;
+    mc_class = std::move(cfg.mc_class);
+  } else {
+    kernel = best_smicrokernel().fn;
+    info.bs = resolve_sgemm_blocks(ctx, pins, m, n, k);
+  }
+  const BlockSizes& bs = info.bs;
   int eff = 1;
   if (ctx.threads() > 1 && m > bs.mr) {
     // Clamp the rank count to the parallelism actually available in the
@@ -465,47 +452,54 @@ RunInfo run_gemm(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, 
   }
   Context::ScratchLease scratch = ctx.acquire_scratch();
   if (eff > 1) {
-    gemm_parallel(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx,
-                  *cfg.kernel, bs, cfg.mc_class, *scratch, eff, phases);
+    gemm_parallel(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx, kernel,
+                  bs, mc_class, *scratch, eff, phases);
     info.schedule = obs::ScheduleKind::kParallel;
     info.threads = eff;
     return info;
   }
-  gemm_serial(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx,
-              *cfg.kernel, bs, *scratch, phases);
+  detail::gemm_serial(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, kernel,
+                      bs, *scratch, ctx.stats(), phases);
   return info;
 }
 
 }  // namespace
 
-void dgemm(Layout layout, Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
-           std::int64_t k, double alpha, const double* a, std::int64_t lda, const double* b,
-           std::int64_t ldb, double beta, double* c, std::int64_t ldc, const Context& ctx) {
+namespace detail {
+
+template <typename T>
+void gemm(Layout layout, Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
+          T alpha, const T* a, index_t lda, const T* b, index_t ldb, T beta, T* c, index_t ldc,
+          const Context& ctx, const BlockPins& pins) {
   validate_gemm_args(layout, trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc);
   if (m == 0 || n == 0) return;
 
   if (layout == Layout::RowMajor) {
     // Row-major C = op(A) op(B) is column-major C^T = op(B)^T op(A)^T.
     // The recursive call performs (and records) the actual work.
-    dgemm(Layout::ColMajor, trans_b, trans_a, n, m, k, alpha, b, ldb, a, lda, beta, c, ldc,
-          ctx);
+    gemm(Layout::ColMajor, trans_b, trans_a, n, m, k, alpha, b, ldb, a, lda, beta, c, ldc, ctx,
+         pins);
     return;
   }
 
+  constexpr bool f64 = std::is_same_v<T, double>;
   obs::GemmStats* stats = ctx.stats();
-  const bool telemetry = obs::telemetry_active();
+  // The drift detector prices every call against the f64 model, so an
+  // f32 call would read as about twice the expected efficiency: serving
+  // telemetry records f64 calls only.
+  const bool telemetry = f64 && obs::telemetry_active();
   if (stats || telemetry) {
-    obs::Tracer::Region region(stats ? stats->tracer() : nullptr, 0, "dgemm");
+    obs::Tracer::Region region(stats ? stats->tracer() : nullptr, 0, f64 ? "dgemm" : "sgemm");
     obs::PmuRegion hw(stats ? stats->pmu() : nullptr, 0, obs::PmuLayer::kTotal);
     const auto t0 = std::chrono::steady_clock::now();
-    const bool computed = k != 0 && alpha != 0.0;
+    const bool computed = k != 0 && alpha != T(0);
     // Stack-owned phase timeline; the drivers accumulate into it only
     // when attribution is on (null slots skip every clock read).
     obs::CallPhases call_phases;
     const bool want_phases = telemetry && obs::telemetry_phases_active();
     RunInfo run;
     if (computed)
-      run = run_gemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx,
+      run = run_gemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx, pins,
                      want_phases ? &call_phases : nullptr);
     else
       scale_panel(c, ldc, m, n, beta);
@@ -524,11 +518,35 @@ void dgemm(Layout layout, Trans trans_a, Trans trans_b, std::int64_t m, std::int
     return;
   }
 
-  if (k == 0 || alpha == 0.0) {
+  if (k == 0 || alpha == T(0)) {
     scale_panel(c, ldc, m, n, beta);
     return;
   }
-  run_gemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx);
+  run_gemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx, pins, nullptr);
+}
+
+#define AG_GEMM_INSTANTIATE(T)                                                             \
+  template void scale_panel(T*, index_t, index_t, index_t, T);                             \
+  template void gemm_small_nest(Trans, Trans, index_t, index_t, index_t, T, const T*,      \
+                                index_t, const T*, index_t, T, T*, index_t);               \
+  template void gemm_serial(Trans, Trans, index_t, index_t, index_t, T, const T*, index_t, \
+                            const T*, index_t, T, T*, index_t, KernelFn<T>,                \
+                            const BlockSizes&, GemmScratch&, obs::GemmStats*,              \
+                            obs::CallPhases*);                                             \
+  template void gemm(Layout, Trans, Trans, index_t, index_t, index_t, T, const T*,         \
+                     index_t, const T*, index_t, T, T*, index_t, const Context&,           \
+                     const BlockPins&);
+AG_GEMM_INSTANTIATE(double)
+AG_GEMM_INSTANTIATE(float)
+#undef AG_GEMM_INSTANTIATE
+
+}  // namespace detail
+
+void dgemm(Layout layout, Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
+           std::int64_t k, double alpha, const double* a, std::int64_t lda, const double* b,
+           std::int64_t ldb, double beta, double* c, std::int64_t ldc, const Context& ctx) {
+  detail::gemm(layout, trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx,
+               BlockPins{});
 }
 
 }  // namespace ag

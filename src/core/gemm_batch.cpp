@@ -90,7 +90,7 @@ TicketCacheCounts run_blocked_rows(const GemmBatchEntry& e, index_t row0, index_
   PanelCache& cache = PanelCache::instance();
 
   Context::ScratchLease lease = ctx.acquire_scratch();
-  GemmScratch& scratch = *lease;
+  PackBuffers<double>& scratch = lease->of<double>();
   scratch.reserve(
       static_cast<std::size_t>(
           packed_b_size(std::min(bs.kc, e.k), std::min(bs.nc, e.n), bs.nr)),

@@ -33,21 +33,30 @@ index_t packed_a_size(index_t mc, index_t kc, int mr);
 /// Number of doubles a packed kc x nc B panel occupies (nr-col padded).
 index_t packed_b_size(index_t kc, index_t nc, int nr);
 
-/// Packs the mc x kc block of op(A) whose top-left element is
-/// op(A)(row0, col0). `a`/`lda` describe the stored (untransposed) matrix.
-void pack_a(Trans trans, const double* a, index_t lda, index_t row0, index_t col0, index_t mc,
-            index_t kc, int mr, double* dst);
+/// The packers, for double and float. When `slot` is non-null they also
+/// record one pack call, the bytes written into the packed buffer
+/// (sizeof(T) per element, padding included), and the elapsed time.
+///
+/// pack_a packs the mc x kc block of op(A) whose top-left element is
+/// op(A)(row0, col0); `a`/`lda` describe the stored (untransposed) matrix.
+template <typename T>
+void pack_a(Trans trans, const T* a, index_t lda, index_t row0, index_t col0, index_t mc,
+            index_t kc, int mr, T* dst, obs::ThreadSlot* slot = nullptr);
 
 /// Packs the kc x nc panel of op(B) whose top-left element is
 /// op(B)(row0, col0). `b`/`ldb` describe the stored (untransposed) matrix.
-void pack_b(Trans trans, const double* b, index_t ldb, index_t row0, index_t col0, index_t kc,
-            index_t nc, int nr, double* dst);
+template <typename T>
+void pack_b(Trans trans, const T* b, index_t ldb, index_t row0, index_t col0, index_t kc,
+            index_t nc, int nr, T* dst, obs::ThreadSlot* slot = nullptr);
 
 /// Packs only slivers [sliver_begin, sliver_end) of the B panel — the unit
 /// of work when threads cooperatively pack the shared panel (Figure 9).
-void pack_b_slivers(Trans trans, const double* b, index_t ldb, index_t row0, index_t col0,
+/// An empty range records nothing, so cooperative ranks that received no
+/// slivers do not inflate the call count.
+template <typename T>
+void pack_b_slivers(Trans trans, const T* b, index_t ldb, index_t row0, index_t col0,
                     index_t kc, index_t nc, int nr, index_t sliver_begin, index_t sliver_end,
-                    double* dst);
+                    T* dst, obs::ThreadSlot* slot = nullptr);
 
 /// Scalar reference packers: the plain Figure-3 element loops the SIMD
 /// fast paths are verified against (and the only path on builds without
@@ -56,18 +65,5 @@ void pack_a_reference(Trans trans, const double* a, index_t lda, index_t row0, i
                       index_t mc, index_t kc, int mr, double* dst);
 void pack_b_reference(Trans trans, const double* b, index_t ldb, index_t row0, index_t col0,
                       index_t kc, index_t nc, int nr, double* dst);
-
-/// Instrumented variants: identical packing, but when `slot` is non-null
-/// they additionally record one pack call, the bytes written into the
-/// packed buffer (padding included), and the elapsed time. The sliver
-/// variant records nothing for an empty range, so cooperative ranks that
-/// received no slivers do not inflate the call count.
-void pack_a(Trans trans, const double* a, index_t lda, index_t row0, index_t col0, index_t mc,
-            index_t kc, int mr, double* dst, obs::ThreadSlot* slot);
-void pack_b(Trans trans, const double* b, index_t ldb, index_t row0, index_t col0, index_t kc,
-            index_t nc, int nr, double* dst, obs::ThreadSlot* slot);
-void pack_b_slivers(Trans trans, const double* b, index_t ldb, index_t row0, index_t col0,
-                    index_t kc, index_t nc, int nr, index_t sliver_begin, index_t sliver_end,
-                    double* dst, obs::ThreadSlot* slot);
 
 }  // namespace ag

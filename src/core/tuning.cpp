@@ -5,9 +5,10 @@
 
 #include "common/aligned_buffer.hpp"
 #include "common/knobs.hpp"
+#include "common/math_util.hpp"
 #include "common/timer.hpp"
 #include "core/gemm_internal.hpp"
-#include "core/sgemm.hpp"
+#include "kernels/sgemm_kernels.hpp"
 #include "threading/topology.hpp"
 
 namespace ag {
@@ -62,31 +63,16 @@ double time_probe(double flops, Fn&& fn) {
   return flops / best * 1e-9;
 }
 
-double run_probe_f32(const tune::ProbeRequest& req) {
-  AlignedBuffer<float> a(static_cast<std::size_t>(req.m * req.k));
-  AlignedBuffer<float> b(static_cast<std::size_t>(req.k * req.n));
-  AlignedBuffer<float> c(static_cast<std::size_t>(req.m * req.n));
-  fill_operand(a.data(), static_cast<std::size_t>(req.m * req.k), 1);
-  fill_operand(b.data(), static_cast<std::size_t>(req.k * req.n), 2);
-  fill_operand(c.data(), static_cast<std::size_t>(req.m * req.n), 3);
-
-  SgemmOptions opt;
-  opt.threads = 1;
-  opt.kc = req.kc;
-  opt.mc = req.mc;
-  opt.nc = req.nc;
-  const double flops = 2.0 * static_cast<double>(req.m) * static_cast<double>(req.n) *
-                       static_cast<double>(req.k);
-  return time_probe(flops, [&] {
-    sgemm(Layout::ColMajor, Trans::NoTrans, Trans::NoTrans, req.m, req.n, req.k, 1.0f,
-          a.data(), req.m, b.data(), req.k, 0.5f, c.data(), req.m, opt);
-  });
-}
-
-double run_probe_f64(const tune::ProbeRequest& req) {
-  AlignedBuffer<double> a(static_cast<std::size_t>(req.m * req.k));
-  AlignedBuffer<double> b(static_cast<std::size_t>(req.k * req.n));
-  AlignedBuffer<double> c(static_cast<std::size_t>(req.m * req.n));
+// Times the serial nest (or, for a small_path request, the no-pack
+// nest) on freshly allocated operands. The nest runs with every
+// instrumentation pointer null: a probe records no stats, tracer, PMU or
+// telemetry, and never re-enters the drift listener while the tuner's
+// lock is held.
+template <typename T>
+double run_probe_t(const tune::ProbeRequest& req, KernelFn<T> kernel) {
+  AlignedBuffer<T> a(static_cast<std::size_t>(req.m * req.k));
+  AlignedBuffer<T> b(static_cast<std::size_t>(req.k * req.n));
+  AlignedBuffer<T> c(static_cast<std::size_t>(req.m * req.n));
   fill_operand(a.data(), static_cast<std::size_t>(req.m * req.k), 1);
   fill_operand(b.data(), static_cast<std::size_t>(req.k * req.n), 2);
   fill_operand(c.data(), static_cast<std::size_t>(req.m * req.n), 3);
@@ -95,12 +81,12 @@ double run_probe_f64(const tune::ProbeRequest& req) {
 
   if (req.small_path) {
     return time_probe(flops, [&] {
-      detail::gemm_small_nest(Trans::NoTrans, Trans::NoTrans, req.m, req.n, req.k, 1.0,
-                              a.data(), req.m, b.data(), req.k, 0.5, c.data(), req.m);
+      detail::gemm_small_nest(Trans::NoTrans, Trans::NoTrans, req.m, req.n, req.k, T(1),
+                              a.data(), req.m, b.data(), req.k, T(0.5), c.data(), req.m);
     });
   }
 
-  if (req.kernel == nullptr) return 0;
+  if (kernel == nullptr) return 0;
   BlockSizes bs;
   bs.mr = req.mr;
   bs.nr = req.nr;
@@ -111,21 +97,26 @@ double run_probe_f64(const tune::ProbeRequest& req) {
 
   GemmScratch scratch;
   return time_probe(flops, [&] {
-    detail::gemm_blocked_serial(req.m, req.n, req.k, 1.0, a.data(), req.m, b.data(), req.k,
-                                0.5, c.data(), req.m, *req.kernel, bs, scratch);
+    detail::gemm_serial(Trans::NoTrans, Trans::NoTrans, req.m, req.n, req.k, T(1), a.data(),
+                        req.m, b.data(), req.k, T(0.5), c.data(), req.m, kernel, bs, scratch,
+                        nullptr, nullptr);
   });
 }
 
-/// The real probe runner the tuner calls (through the injected pointer):
-/// times the uninstrumented serial nest — or the no-pack small nest, or
-/// the f32 path — on freshly allocated operands. Any failure (bad
-/// candidate, allocation) reports 0, which the tuner treats as "skip".
+/// The real probe runner the tuner calls (through the injected pointer).
+/// Any failure (bad candidate, allocation) reports 0, which the tuner
+/// treats as "skip".
 double run_probe(const tune::ProbeRequest& req) noexcept {
   if (req.m <= 0 || req.n <= 0 || req.k <= 0) return 0;
   try {
     PrefetchGuard prefetch(req.prea, req.preb);
-    if (req.precision == tune::Precision::kF32) return run_probe_f32(req);
-    return run_probe_f64(req);
+    if (req.precision == tune::Precision::kF32) {
+      // f32 has one kernel family: the request names its shape only.
+      const SMicrokernel& kern = best_smicrokernel();
+      if (req.mr != kern.mr || req.nr != kern.nr) return 0;
+      return run_probe_t<float>(req, kern.fn);
+    }
+    return run_probe_t<double>(req, req.kernel ? req.kernel->fn : nullptr);
   } catch (...) {
     return 0;
   }
@@ -134,6 +125,30 @@ double run_probe(const tune::ProbeRequest& req) noexcept {
 }  // namespace
 
 void ensure_tune_probe_runner() { tune::install_default_probe_runner(&run_probe); }
+
+BlockSizes resolve_sgemm_blocks(const Context& ctx, const BlockPins& pins, index_t m,
+                                index_t n, index_t k) {
+  const SMicrokernel& kern = best_smicrokernel();
+  if (ctx.tunable() && !pins.any() && tune_mode() != kTuneModeOff) {
+    ensure_tune_probe_runner();
+    const tune::TunedConfig* tc =
+        tune::resolve(tune::Precision::kF32, m, n, k, ctx.threads());
+    if (tc != nullptr && tc->mr == kern.mr && tc->nr == kern.nr) {
+      tune::record_call(tc->source);
+      return tc->block_sizes(ctx.threads());
+    }
+    tune::record_call(tune::TuneSource::kNone);
+  }
+  // Floats are half the size of doubles: the same cache budgets admit
+  // twice the kc depth of the double-precision defaults.
+  BlockSizes bs;
+  bs.mr = kern.mr;
+  bs.nr = kern.nr;
+  bs.kc = pins.kc > 0 ? pins.kc : 512;
+  bs.mc = pins.mc > 0 ? pins.mc : round_up<index_t>(64, kern.mr);
+  bs.nc = pins.nc > 0 ? pins.nc : 4096 / kern.nr * kern.nr;
+  return bs;
+}
 
 ExecConfig resolve_exec_config(const Context& ctx, index_t m, index_t n, index_t k) {
   ExecConfig cfg;

@@ -39,6 +39,26 @@ struct ExecConfig {
 ///     configuration if resolution yields nothing usable.
 ExecConfig resolve_exec_config(const Context& ctx, index_t m, index_t n, index_t k);
 
+/// Cache blocks one sgemm call pins (SgemmOptions::kc/mc/nc). Any
+/// nonzero field makes the call a pin; a non-positive field takes the
+/// host default.
+struct BlockPins {
+  index_t kc = 0, mc = 0, nc = 0;
+
+  bool any() const { return kc != 0 || mc != 0 || nc != 0; }
+};
+
+/// Resolves the blocking for one blocked f32 call, which always runs
+/// best_smicrokernel():
+///
+///   - a tunable context, no pins and the tuner on: tune::resolve's pick
+///     for the f32 (shape-class, ctx.threads()) key, recorded under its
+///     source (or "none" when resolution yields nothing usable);
+///   - otherwise: the pins, with float-scaled host defaults for the rest,
+///     unrecorded.
+BlockSizes resolve_sgemm_blocks(const Context& ctx, const BlockPins& pins, index_t m,
+                                index_t n, index_t k);
+
 /// Installs the real probe runner into the tune library (one-shot CAS;
 /// a test-injected fake wins). Called on the first tunable resolution.
 void ensure_tune_probe_runner();

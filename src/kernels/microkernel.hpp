@@ -45,8 +45,12 @@ using index_t = std::int64_t;
 inline constexpr int kMaxMr = 32;
 inline constexpr int kMaxNr = 32;
 
-using MicrokernelFn = void (*)(index_t kc, double alpha, const double* a, const double* b,
-                               double beta, double* c, index_t ldc);
+/// The register-kernel signature for element type T (double or float).
+template <typename T>
+using KernelFn = void (*)(index_t kc, T alpha, const T* a, const T* b, T beta, T* c,
+                          index_t ldc);
+
+using MicrokernelFn = KernelFn<double>;
 
 /// Register block shape (the paper's mr x nr).
 struct KernelShape {

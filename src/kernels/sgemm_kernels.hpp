@@ -13,8 +13,7 @@
 
 namespace ag {
 
-using SMicrokernelFn = void (*)(index_t kc, float alpha, const float* a, const float* b,
-                                float beta, float* c, index_t ldc);
+using SMicrokernelFn = KernelFn<float>;
 
 struct SMicrokernel {
   std::string name;

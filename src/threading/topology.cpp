@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <mutex>
 
 #if defined(__linux__)
@@ -317,8 +318,13 @@ const Topology& Topology::get() {
 
 void Topology::refresh() {
   std::lock_guard lock(g_build_mutex);
-  // The old snapshot leaks deliberately: hot-path readers hold raw
-  // pointers with no lifetime ceremony, and refreshes are test-rate.
+  // Hot-path readers hold raw pointers with no lifetime ceremony, so a
+  // replaced snapshot lives as long as the process. This list owns the
+  // retired ones (never destroyed, so no reader outlives it), which keeps
+  // them reachable for leak checkers; refreshes are test-rate.
+  static auto* retired = new std::vector<std::unique_ptr<const Topology>>;
+  if (const Topology* old = g_topology.load(std::memory_order_acquire))
+    retired->emplace_back(old);
   g_topology.store(build(), std::memory_order_release);
   obs::set_topology_stats_source(+[] { return Topology::get().stats(); });
 }

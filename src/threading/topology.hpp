@@ -74,8 +74,9 @@ class Topology {
 
   /// Rebuilds the snapshot from the current knob values (tests change
   /// ARMGEMM_CPU_CLASSES / ARMGEMM_NUMA_NODES via the setters, then
-  /// refresh). The old snapshot leaks — in-flight readers may still hold
-  /// it. Online refinement counters restart from the new seeds.
+  /// refresh). The old snapshot stays alive, owned by a process-lifetime
+  /// list — in-flight readers may still hold it. Online refinement
+  /// counters restart from the new seeds.
   static void refresh();
 
   int num_cpus() const { return num_cpus_; }

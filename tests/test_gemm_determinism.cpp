@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/rng.hpp"
 #include "core/gemm.hpp"
+#include "core/sgemm.hpp"
 #include "scoped_knobs.hpp"
 
 using ag::index_t;
@@ -58,6 +60,50 @@ TEST(GemmDeterminism, BitwiseIdenticalAcrossRunsAndThreadCounts) {
   for (int threads : {1, 2, 4, 8}) {
     for (int rep = 0; rep < 20; ++rep) {
       const std::vector<double> got = run_once(threads, m, n, k, a, b, c0);
+      ASSERT_EQ(std::memcmp(got.data(), golden.data(), bytes), 0)
+          << "threads=" << threads << " rep=" << rep;
+    }
+  }
+}
+
+// sgemm runs the same driver: one call at pinned blocks into a fresh
+// copy of c0. mc 64 is a multiple of every f32 kernel's mr and nc 48 of
+// every nr.
+std::vector<float> run_sgemm_once(int threads, index_t m, index_t n, index_t k,
+                                  const std::vector<float>& a, const std::vector<float>& b,
+                                  const std::vector<float>& c0) {
+  ag::SgemmOptions opts;
+  opts.threads = threads;
+  opts.kc = 32;
+  opts.mc = 64;
+  opts.nc = 48;
+  std::vector<float> c(c0);
+  ag::sgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, m, n, k, 1.25f,
+            a.data(), m, b.data(), k, 0.5f, c.data(), m, opts);
+  return c;
+}
+
+std::vector<float> random_floats(std::size_t count, std::uint64_t seed) {
+  ag::Xoshiro256 rng(seed);
+  std::vector<float> v(count);
+  for (float& x : v) x = static_cast<float>(rng.uniform(-1, 1));
+  return v;
+}
+
+TEST(GemmDeterminism, SgemmBitwiseIdenticalAcrossRunsAndThreadCounts) {
+  // m=400 with mc=64 gives ceil(400/64)=7 row blocks: 8 threads exercises
+  // the 2-D column-group fallback, 2 and 4 stay 1-D dynamic.
+  const index_t m = 400, n = 96, k = 80;
+  agtest::ScopedSmallMnk pack_path(0);
+  const auto a = random_floats(static_cast<std::size_t>(m * k), 301);
+  const auto b = random_floats(static_cast<std::size_t>(k * n), 302);
+  const auto c0 = random_floats(static_cast<std::size_t>(m * n), 303);
+
+  const std::vector<float> golden = run_sgemm_once(1, m, n, k, a, b, c0);
+  const std::size_t bytes = golden.size() * sizeof(float);
+  for (int threads : {1, 2, 4, 8}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      const std::vector<float> got = run_sgemm_once(threads, m, n, k, a, b, c0);
       ASSERT_EQ(std::memcmp(got.data(), golden.data(), bytes), 0)
           << "threads=" << threads << " rep=" << rep;
     }

@@ -12,11 +12,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "capi/armgemm_cblas.h"
 #include "common/knobs.hpp"
 #include "common/matrix.hpp"
 #include "core/gemm.hpp"
+#include "kernels/sgemm_kernels.hpp"
 #include "obs/expected.hpp"
 #include "obs/gemm_stats.hpp"
 #include "obs/report.hpp"
@@ -338,6 +340,41 @@ TEST(ObsStatsCapi, EnableCollectRoundTrip) {
   armgemm_stats_reset();
   armgemm_set_small_mnk(prev_small);
   EXPECT_EQ(armgemm_get_small_mnk(), prev_small);
+}
+
+// cblas_sgemm records through the CBLAS context's collector like
+// cblas_dgemm, and every byte count is in floats. Tuning is off, so the
+// call runs the float-scaled host defaults (kc 512, mc 64, nc ~4096): one
+// B panel of ceil(n/nr) slivers and one A block.
+TEST(ObsStatsCapi, SgemmRecordsFloatBytes) {
+  if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "stats compiled out";
+  const int prev_mode = ag::tune_mode();
+  ag::set_tune_mode(ag::kTuneModeOff);
+  const int m = 64, n = 48, k = 40;
+  std::vector<float> a(m * k, 0.5f), b(k * n, 0.25f), c(m * n, 1.0f);
+  armgemm_stats_reset();
+  armgemm_stats_enable();
+  cblas_sgemm(CblasColMajor, CblasNoTrans, CblasNoTrans, m, n, k, 1.0f, a.data(), m, b.data(),
+              k, 1.0f, c.data(), m);
+  armgemm_stats_snapshot snap;
+  armgemm_stats_get(&snap);
+  armgemm_stats_disable();
+  armgemm_stats_reset();
+  ag::set_tune_mode(prev_mode);
+
+  EXPECT_EQ(c[0], 1.0f + k * 0.125f);
+  const ag::SMicrokernel& kern = ag::best_smicrokernel();
+  const auto slivers = static_cast<unsigned long long>((n + kern.nr - 1) / kern.nr);
+  const auto a_rows = static_cast<unsigned long long>((m + kern.mr - 1) / kern.mr * kern.mr);
+  EXPECT_EQ(snap.gemm_calls, 1ull);
+  EXPECT_DOUBLE_EQ(snap.flops, 2.0 * m * n * k);
+  EXPECT_EQ(snap.pack_a_calls, 1ull);
+  EXPECT_EQ(snap.pack_b_calls, 1ull);
+  EXPECT_EQ(snap.gebp_calls, 1ull);
+  EXPECT_GT(snap.kernel_calls, 0ull);
+  EXPECT_EQ(snap.pack_b_bytes, slivers * kern.nr * k * sizeof(float));
+  EXPECT_EQ(snap.pack_a_bytes, a_rows * k * sizeof(float));
+  EXPECT_EQ(snap.c_bytes, 2ull * m * n * sizeof(float));
 }
 
 // A snapshot taken while calls are in flight must never mix the fields

@@ -22,9 +22,12 @@
 #include "common/knobs.hpp"
 #include "core/block_sizes.hpp"
 #include "core/gemm.hpp"
+#include "core/sgemm.hpp"
 #include "core/tuning.hpp"
 #include "kernels/microkernel.hpp"
 #include "kernels/sgemm_kernels.hpp"
+#include "model/perf_model.hpp"
+#include "obs/gemm_stats.hpp"
 #include "obs/telemetry.hpp"
 #include "scoped_knobs.hpp"
 #include "tune/cache_file.hpp"
@@ -480,6 +483,85 @@ TEST(Tune, OffModeBitwiseMatchesUntunedDefault) {
             a.data(), n, b.data(), n, 1.0, c_plain.data(), n, plain);
 
   EXPECT_EQ(std::memcmp(c_off.data(), c_plain.data(), c_off.size() * sizeof(double)), 0);
+}
+
+// ---- probes are invisible -----------------------------------------------
+
+// The real probe runner times the serial nest with every instrumentation
+// pointer null. Measured mode on a small budget must probe both
+// precisions, yet the collector attached to the calling context and
+// serving telemetry see only the calls made through them.
+TEST(Tune, RealProbesStayInvisibleToStatsAndTelemetry) {
+  if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "stats compiled out";
+  TunerFixture fx;
+  ag::tune::set_probe_runner(nullptr);
+  ag::ensure_tune_probe_runner();
+  const std::int64_t prev_budget = ag::tune_budget_ms();
+  const std::string prev_metrics_path = ag::metrics_path();
+  ag::set_metrics_path("");
+  ag::obs::telemetry_set_model(10.0, ag::model::CostParams{1e-10, 1e-9, 0.125}, 1.0);
+  ag::obs::telemetry_enable();
+  ag::obs::telemetry_reset();
+
+  const std::int64_t n = 96;
+  std::vector<double> a(static_cast<std::size_t>(n * n)), b(a.size()), c(a.size(), 0.0);
+  fill(&a, 5);
+  fill(&b, 6);
+  std::vector<float> af(a.begin(), a.end()), bf(b.begin(), b.end()), cf(a.size(), 0.0f);
+  ag::obs::GemmStats stats;
+  ag::Context ctx;
+  ctx.set_tunable(true);
+  ctx.set_stats(&stats);
+  const auto run_dgemm = [&] {
+    ag::dgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, n, n, n, 1.0,
+              a.data(), n, b.data(), n, 0.0, c.data(), n, ctx);
+  };
+  const auto run_sgemm = [&] {
+    ag::sgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, n, n, n, 1.0f,
+              af.data(), n, bf.data(), n, 0.0f, cf.data(), n, ctx);
+  };
+  // The probe budget is process-wide: give each cold key its own 40 ms.
+  const auto probes_of = [](const auto& call) {
+    ag::set_tune_budget_ms(static_cast<std::int64_t>(ag::tune::stats().probe_ms_spent) + 40);
+    const std::uint64_t before = ag::tune::stats().probes_run;
+    call();
+    return ag::tune::stats().probes_run - before;
+  };
+
+  const std::uint64_t f64_probes = probes_of(run_dgemm);
+  const std::uint64_t f32_probes = probes_of(run_sgemm);
+  const ag::obs::LayerCounters first = stats.totals();
+  const std::uint64_t telemetry_calls = ag::obs::telemetry_snapshot().total_calls;
+  stats.reset();
+  // Warm keys: the same calls again, and no probe runs.
+  const std::uint64_t warm_probes = probes_of([&] {
+    run_dgemm();
+    run_sgemm();
+  });
+  const ag::obs::LayerCounters second = stats.totals();
+
+  ag::obs::telemetry_disable();
+  ag::obs::telemetry_reset();
+  ag::set_metrics_path(prev_metrics_path);
+  ag::set_tune_budget_ms(prev_budget);
+  ag::tune::set_probe_runner(&fake_probe);
+
+  EXPECT_GT(f64_probes, 0u);
+  EXPECT_GT(f32_probes, 0u);
+  EXPECT_EQ(warm_probes, 0u);
+  EXPECT_EQ(first.gemm_calls, 2u);
+  // Serving telemetry records f64 calls only, and no probe.
+  EXPECT_EQ(telemetry_calls, 1u);
+  // A probe that recorded into the collector would have inflated the
+  // cold pair's counts over the warm pair's identical calls.
+  EXPECT_EQ(first.pack_a_calls, second.pack_a_calls);
+  EXPECT_EQ(first.pack_b_calls, second.pack_b_calls);
+  EXPECT_EQ(first.gebp_calls, second.gebp_calls);
+  EXPECT_EQ(first.kernel_calls, second.kernel_calls);
+  EXPECT_EQ(first.pack_a_bytes, second.pack_a_bytes);
+  EXPECT_EQ(first.pack_b_bytes, second.pack_b_bytes);
+  EXPECT_EQ(first.c_bytes, second.c_bytes);
+  EXPECT_EQ(first.small_calls, 0u);
 }
 
 }  // namespace
